@@ -374,7 +374,8 @@ def dotted_class(d: FlatDiagram):
     s = tuple(sorted(d.dotted_endpoints()))
     c = canonical_rep(s, d.boundary_count)
     g = glue_evaluate(d, c)
-    assert g in (-1, 1)
+    if g not in (-1, 1):
+        raise AssertionError(f"{d} pairs to {g} with its canonical rep")
     sign = g * (-1) ** (len(s) // 2)
     return sign, s
 

@@ -10,9 +10,20 @@ so rotation only permutes corner labels).
 
 Two table forms are kept: the 7-term undotted form and the equivalent 5-term
 dotted form.  ``evaluate_naive`` expands with the 7-term tables and reduces
-each state inside the diagram space; ``evaluate_dp`` composes slice by slice
-in the quotient space, carrying coordinates in the canonical dotted basis
-(at most 2^(width+bottom-1) keys per cut).
+each state inside the diagram space.
+
+``evaluate_dp`` composes slice by slice in the quotient space, carrying
+coordinates in the canonical dotted basis: at most 2^(width+bottom-1) keys
+per cut.  A key is an int with bit i-1 set for each boundary point i of its
+even subset.  Every transition is local: a slice changes only the pair of
+bits under it, and shifts the higher bits up (cup) or down (cap) by 2.  The
+coefficient comes from a 4x4 local table of the slice type and, for the
+entries that create or destroy the pair as a whole (a crossing taking the
+pair 00 <-> 11, a cap destroying 11, a cup creating 11), a twist
+(-1)^(floor(lo/2) + floor(hi/2)), where lo / hi count the key's bits below /
+above the pair.  The local tables are derived from the 5-term tables by
+diagram surgery on a 3-point cut, once, on the first dp evaluation; no
+transition cache is kept.
 """
 
 from __future__ import annotations
@@ -21,8 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .laurent import LaurentPoly, ONE, ZERO
-from .diagram import (ClassVector, DiagramVector, FlatDiagram, canonical_rep,
-                      dotted_class)
+from .diagram import ClassVector, DiagramVector, FlatDiagram, dotted_class
 from .tangle import (CAP, CUP, OVER, UNDER, EndpointCountError, MorseWord,
                      analyze)
 
@@ -252,7 +262,8 @@ def _apply_piece(ends, done, where, term, consumed, produced):
     if consumed and not produced:          # cap: close the gap
         del ends[where:where + 2]
         for i, e in enumerate(ends):
-            assert not (e[0] == "c" and e[1] in (where, where + 1))
+            if e[0] == "c" and e[1] in (where, where + 1):
+                raise AssertionError("cap left a strand ending in its gap")
             if e[0] == "c" and e[1] > where + 1:
                 ends[i] = ("c", e[1] - 2, e[2])
     return factor, tuple(ends), frozenset(done)
@@ -341,7 +352,8 @@ def expand_states(word: MorseWord, dotted: bool = False):
         if coeff:
             vec.add_term(_finalize(ends, done, k), coeff)
     expected = branch ** word.crossing_count()
-    assert total == expected, f"state count {total} != {expected}"
+    if total != expected:
+        raise AssertionError(f"state count {total} != {expected}")
     return vec, total
 
 
@@ -352,106 +364,113 @@ def evaluate_naive(word: MorseWord) -> DiagramVector:
 
 # ---------------------------------------------------------------------------
 # the slice-composition evaluator in the quotient space
+#
+# Keys are laid out as in the module docstring.  Boundary points run right
+# to left along a cut, so the left strand of a pair has the higher bit.
+
+# the four states of a 3-point cut (bottom point 1 below a width-2 cut)
+# whose top pair carries bits (left, right): canonical_rep of the subset,
+# which holds point 1 exactly when it holds one top point
+_LOCAL_STATES = (
+    ((("t", None, False), ("t", None, False)), frozenset({("tick", 1)})),
+    ((("t", None, False), ("b", 1, True)), frozenset()),
+    ((("b", 1, True), ("t", None, False)), frozenset()),
+    ((("c", 1, True), ("c", 0, True)), frozenset({("tick", 1)})),
+)
 
 
-def _rep_state(subset, k: int, w: int):
-    """canonical_rep(subset) on k + w points, as an (ends, done) state."""
-    n = k + w
-    rep = canonical_rep(subset, n)
-    ends = [None] * w
-    done = set()
+def _local_table(terms, consumed, produced):
+    """The transitions of one slice type on its pair of bits.
 
-    def pos(idx):
-        return k + w - idx
+    They are read off the expansion terms applied to a 3-point cut
+    (crossings, caps) or to the empty cut (cups), where no spectator twists
+    the sign.  Returns one row per input pair value (a single row for a cup);
+    ``row[flip]`` lists (output pair value, coefficient), where flip = 1
+    negates the terms that create or destroy the pair as a whole."""
+    k = 1 if consumed else 0
+    rows = []
+    for loc in (range(4) if consumed else (0,)):
+        ends, done = _LOCAL_STATES[loc] if consumed else ((), frozenset())
+        acc = {}
+        for term in terms:
+            res = _apply_piece(ends, done, 0, term, consumed, produced)
+            if res is None:
+                continue
+            factor, e2, d2 = res
+            sign, subset = dotted_class(_finalize(e2, d2, k))
+            bits = sum(1 << (p - 1) for p in subset)
+            if consumed and bits & 1 != loc.bit_count() & 1:
+                raise AssertionError("slice transition moved a spectator")
+            out = bits >> k
+            coeff = term.coeff if factor * sign > 0 else -term.coeff
+            acc[out] = acc.get(out, ZERO) + coeff
+        plain = tuple((out, c) for out, c in sorted(acc.items()) if c)
+        twisted = tuple(
+            (out, -c if (loc == 3) != (produced and out == 3) else c)
+            for out, c in plain)
+        rows.append((plain, twisted))
+    return tuple(rows)
 
-    for i, j, dot in rep.chords:
-        if j <= k:
-            done.add(("chord", i, j, dot))
-        elif i > k:
-            ends[pos(i)] = ("c", pos(j), dot)
-            ends[pos(j)] = ("c", pos(i), dot)
-        else:
-            ends[pos(j)] = ("b", i, dot)
-    for p in rep.ticks:
-        if p <= k:
-            done.add(("tick", p))
-        else:
-            ends[pos(p)] = ("t", None, False)
-    return tuple(ends), frozenset(done)
 
-
-_transition_cache = {}
-
-
-def _transitions(sig, key, k, w):
-    """Lazily built map: basis key -> ((new key, coefficient), ...)."""
-    cache = _transition_cache.setdefault(sig, {})
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    kind = sig[0]
-    if kind == CUP:
-        terms, consumed, produced = _CUP_TERMS_DOTTED, False, True
-        where = sig[1] - 1
-    elif kind == CAP:
-        terms, consumed, produced = _CAP_TERM, True, False
-        where = sig[1] - 1
-    else:
-        terms = base_tables().five[(sig[2], sig[3])]
-        consumed = produced = True
-        where = sig[1] - 1
-    # the piece acts on cut positions; convert to 0-based list slots, which
-    # run left to right while boundary indices run right to left
-    ends, done = _rep_state(key, k, w)
-    out = []
-    for term in terms:
-        res = _apply_piece(ends, done, where, term, consumed, produced)
-        if res is None:
-            continue
-        factor, e2, d2 = res
-        diag = _finalize(e2, d2, k)
-        sign, subset = dotted_class(diag)
-        coeff = term.coeff if factor * sign > 0 else -term.coeff
-        out.append((subset, coeff))
-    out = tuple(out)
-    cache[key] = out
-    return out
+@lru_cache(maxsize=1)
+def _kernel_tables() -> dict:
+    """Local tables of all slice types: (sign, rot) for the crossings, CUP
+    and CAP.  Derived on the first evaluation, not at import."""
+    tables = {key: _local_table(terms, True, True)
+              for key, terms in base_tables().five.items()}
+    tables[CUP] = _local_table(_CUP_TERMS_DOTTED, False, True)
+    tables[CAP] = _local_table(_CAP_TERM, True, False)
+    return tables
 
 
 def evaluate_dp(word: MorseWord) -> ClassVector:
     """Coordinates of the tangle in the canonical basis of the quotient
     space, computed by composing one slice at a time."""
+    tables = _kernel_tables()
     an = analyze(word)
     k = word.bottom_count
-    # initial sliver: nested undotted strands from bottom i to cut i
+    # initial sliver: nested undotted strands from bottom p to cut p
     state = {}
     for bits in range(1 << k):
-        s = []
-        for p in range(1, k + 1):
-            if bits >> (p - 1) & 1:
-                s += [p, 2 * k + 1 - p]
-        state[tuple(sorted(s))] = ONE
+        key = 0
+        for p in range(k):
+            if bits >> p & 1:
+                key |= (1 << p) | (1 << (2 * k - 1 - p))
+        state[key] = ONE
     ci = iter(an.crossings)
     w = k
     for sl in word.slices:
+        # ib: lowest bit of the pair; width_in / width_out: pair bits
+        # consumed / produced by the slice
         if sl.kind == CUP:
-            sig = (CUP, sl.pos, k, w)
+            table = tables[CUP]
+            ib, width_in, width_out = k + w - sl.pos + 1, 0, 2
         elif sl.kind == CAP:
-            sig = (CAP, sl.pos, k, w)
+            table = tables[CAP]
+            ib, width_in, width_out = k + w - sl.pos - 1, 2, 0
         else:
             info = next(ci)
-            sig = ("x", sl.pos, info.sign, info.rot, k, w)
+            table = tables[(info.sign, info.rot)]
+            ib, width_in, width_out = k + w - sl.pos - 1, 2, 2
+        low_mask = (1 << ib) - 1
+        pair_mask = (1 << width_in) - 1
         new = {}
-        for subset, coeff in state.items():
-            for s2, co in _transitions(sig, subset, k, w):
-                c = new.get(s2, ZERO) + coeff * co
-                if c:
-                    new[s2] = c
-                elif s2 in new:
-                    del new[s2]
-        state = new
-        w += 2 if sl.kind == CUP else (-2 if sl.kind == CAP else 0)
-    return ClassVector(k + w, state)
+        for key, coeff in state.items():
+            low = key & low_mask
+            high = key >> (ib + width_in)
+            rest = low | (high << (ib + width_out))
+            # the twist (-1)^(floor(lo/2) + floor(hi/2)) over the spectators
+            flip = ((low.bit_count() >> 1) + (high.bit_count() >> 1)) & 1
+            for out, c in table[(key >> ib) & pair_mask][flip]:
+                nk = rest | (out << ib)
+                term = coeff * c
+                old = new.get(nk)
+                new[nk] = term if old is None else old + term
+        state = {key: c for key, c in new.items() if c}
+        w += width_out - width_in
+    n = k + w
+    return ClassVector(n, {tuple(i + 1 for i in range(n) if key >> i & 1): c
+                           for key, c in state.items()})
 
 
 # ---------------------------------------------------------------------------

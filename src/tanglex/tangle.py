@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 class TangleError(Exception):
@@ -66,7 +65,8 @@ class MorseWord:
     cup_orientations: tuple     # 'cw' / 'ccw' per cup slice, in slice order
 
     def __post_init__(self):
-        analyze(self)  # validates widths and orientations
+        # validates widths and orientations; analyze(self) returns the result
+        object.__setattr__(self, "_analysis", _analyze(self))
 
     @property
     def top_count(self) -> int:
@@ -128,8 +128,12 @@ def _crossing_sign(kind: str, d1: int, d2: int) -> int:
     return -1 if parallel else 1
 
 
-@lru_cache(maxsize=None)
 def analyze(word: MorseWord) -> _Analysis:
+    """The derived structure of a word, computed once when it was built."""
+    return word._analysis
+
+
+def _analyze(word: MorseWord) -> _Analysis:
     """Trace wires, propagate orientations, and classify crossings."""
     k = word.bottom_count
     if k < 0:

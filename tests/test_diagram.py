@@ -1,8 +1,13 @@
 """Diagram gluing, the quotient-space basis, and coordinates."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import tanglex
 
 from tanglex.laurent import LaurentPoly, ONE, ZERO
 from tanglex.diagram import (ClassVector, DiagramVector, FlatDiagram,
@@ -209,6 +214,20 @@ class TestCoordinates:
                 sign, s = dotted_class(dd)
                 c = coordinates(DiagramVector.single(dd))
                 assert c[s] == LaurentPoly.monomial(sign) and len(c) == 1
+
+    def test_dotted_class_check_survives_optimize_flag(self):
+        # under python -O a bare assert would let a bad pairing through
+        code = ("import tanglex.diagram as d\n"
+                "d.glue_evaluate = lambda x, y: 7\n"
+                "try:\n"
+                "    d.dotted_class(d.canonical_rep((1, 2), 2))\n"
+                "except AssertionError:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit(1)\n")
+        src = os.path.dirname(os.path.dirname(tanglex.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        r = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+        assert r.returncode == 0
 
 
 class TestSaddle:

@@ -1,13 +1,24 @@
 """Expansion tables, both evaluators, and the move identities."""
 
+import ast
+import inspect
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import tanglex
+from tanglex import diagram, statesum, tangle
 from tanglex.laurent import LaurentPoly, ONE
-from tanglex.diagram import (DiagramVector, FlatDiagram, coordinates,
-                             saddle_element)
-from tanglex.tangle import EndpointCountError, parse, random_word
+from tanglex.diagram import (DiagramVector, FlatDiagram, canonical_rep,
+                             coordinates, saddle_element)
+from tanglex.invariant import alexander_polynomial
+from tanglex.oracle import alexander_via_burau, closure_components
+from tanglex.tangle import (EndpointCountError, braid_to_tangle, parse,
+                            random_word)
 from tanglex.statesum import (base_tables, delta_from_class, delta_scalar,
                               evaluate_dp, evaluate_naive, expand_states)
 
@@ -184,6 +195,125 @@ class TestDp:
         for _ in range(30):
             w = random_word(rng, max_crossings=5, bottom=rng.choice((0, 1, 2)))
             assert evaluate_dp(w) == coordinates(evaluate_naive(w)), str(w)
+
+
+@st.composite
+def morse_words(draw, max_bottom=3, max_width=7, max_crossings=6):
+    """Valid oriented words with at most max_crossings crossings and every
+    cut no wider than max_width, closed down by caps where the strand
+    directions allow."""
+    bottom = draw(st.integers(0, max_bottom))
+    dirs = draw(st.lists(st.sampled_from((1, -1)), min_size=bottom,
+                         max_size=bottom))
+    name = {1: "up", -1: "down"}
+    parts = [" ".join(["bottom", str(bottom)] + [name[d] for d in dirs])]
+    budget = draw(st.integers(0, max_crossings))
+    for _ in range(draw(st.integers(budget, budget + 6))):
+        w = len(dirs)
+        caps = [p for p in range(1, w) if dirs[p - 1] == -dirs[p]]
+        kinds = ((["x+", "x-"] if budget and w >= 2 else [])
+                 + (["cup"] if w + 2 <= max_width else [])
+                 + (["cap"] if caps else []))
+        if not kinds:
+            break
+        kind = draw(st.sampled_from(kinds))
+        if kind == "cup":
+            p, cw = draw(st.integers(1, w + 1)), draw(st.booleans())
+            parts.append(f"cup {p} {'cw' if cw else 'ccw'}")
+            dirs[p - 1:p - 1] = [1, -1] if cw else [-1, 1]
+        elif kind == "cap":
+            p = draw(st.sampled_from(caps))
+            parts.append(f"cap {p}")
+            del dirs[p - 1:p + 1]
+        else:
+            p = draw(st.integers(1, w - 1))
+            parts.append(f"{kind} {p}")
+            dirs[p - 1], dirs[p] = dirs[p], dirs[p - 1]
+            budget -= 1
+    while caps := [p for p in range(1, len(dirs)) if dirs[p - 1] == -dirs[p]]:
+        p = draw(st.sampled_from(caps))
+        parts.append(f"cap {p}")
+        del dirs[p - 1:p + 1]
+    return parse("; ".join(parts) + ";")
+
+
+class TestKernel:
+    def test_local_states_are_canonical_reps(self):
+        for loc, subset in enumerate([(), (1, 2), (1, 3), (2, 3)]):
+            ends, done = statesum._LOCAL_STATES[loc]
+            rep = statesum._finalize(ends, done, 1)
+            assert rep == canonical_rep(subset, 3)
+
+    def test_tables_are_not_derived_at_import(self):
+        code = ("import tanglex\n"
+                "from tanglex import statesum\n"
+                "print(statesum._kernel_tables.cache_info().currsize)\n"
+                "statesum.evaluate_dp(tanglex.parse('bottom 1 up;'))\n"
+                "print(statesum._kernel_tables.cache_info().currsize)\n")
+        src = os.path.dirname(os.path.dirname(tanglex.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["0", "1"]
+
+    # bottoms of 2 and more put spectator bits on both sides of a pair, so
+    # the sign twist is exercised
+    @settings(max_examples=150, deadline=None)
+    @given(morse_words())
+    def test_dp_matches_naive(self, w):
+        assert evaluate_dp(w) == coordinates(evaluate_naive(w)), str(w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_dp_alexander_matches_burau(self, data):
+        n = data.draw(st.integers(2, 6), label="strands")
+        # a knot closure permutes the strands in one n-cycle, whose parity
+        # forces length = n - 1 (mod 2)
+        length = n - 1 + 2 * data.draw(st.integers(0, 6), label="extra")
+        gen = st.integers(1, n - 1).flatmap(lambda g: st.sampled_from((g, -g)))
+        for _ in range(20):
+            word = data.draw(st.lists(gen, min_size=length, max_size=length),
+                             label="braid")
+            if closure_components(word, n) == 1:
+                break
+        assume(closure_components(word, n) == 1)
+        res = alexander_polynomial(braid_to_tangle(word, n))
+        assert res.alexander == alexander_via_burau(word, n), (word, n)
+
+
+class TestBoundedMemory:
+    @staticmethod
+    def module_cache_sizes():
+        sizes = {}
+        for mod in (tangle, statesum):
+            for name, obj in vars(mod).items():
+                info = getattr(obj, "cache_info", None)
+                if callable(info):
+                    sizes[mod.__name__, name] = info().currsize
+                elif isinstance(obj, (dict, list, set)):
+                    sizes[mod.__name__, name] = len(obj)
+        return sizes
+
+    def test_no_module_level_cache_grows(self):
+        rng = random.Random(5)
+        evaluate_dp(random_word(rng))   # derives the kernel tables once
+        before = self.module_cache_sizes()
+        words = set()
+        while len(words) < 500:
+            words.add(random_word(rng, max_crossings=4,
+                                  bottom=rng.choice((0, 1, 2))))
+        for w in words:
+            evaluate_dp(w)
+        assert self.module_cache_sizes() == before
+        assert not hasattr(tangle.analyze, "cache_info")
+
+    def test_no_assert_statements_in_evaluator_modules(self):
+        # python -O strips assert statements; result checks must raise
+        for mod in (diagram, statesum, tangle):
+            tree = ast.parse(inspect.getsource(mod))
+            found = [n.lineno for n in ast.walk(tree)
+                     if isinstance(n, ast.Assert)]
+            assert not found, (mod.__name__, found)
 
 
 class TestDelta:
