@@ -37,7 +37,10 @@ class NormalizedResult:
     alexander: LaurentPoly
 
     def __post_init__(self):
-        assert self.alexander * minus_q_power(self.tau) == self.delta
+        if self.alexander * minus_q_power(self.tau) != self.delta:
+            raise ValueError(
+                f"alexander {self.alexander} times (-q)^{self.tau} is not "
+                f"delta {self.delta}")
 
 
 def _delta_naive_checked(word: MorseWord) -> LaurentPoly:

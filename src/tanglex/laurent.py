@@ -35,7 +35,7 @@ class LaurentPoly:
 
     @staticmethod
     def zero() -> "LaurentPoly":
-        return LaurentPoly()
+        return ZERO
 
     @staticmethod
     def one() -> "LaurentPoly":
@@ -53,6 +53,11 @@ class LaurentPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        # values are immutable, so a zero summand can hand back the other
+        if not other._c:
+            return self
+        if not self._c:
+            return other
         c = dict(self._c)
         for e, a in other._c.items():
             a = c.get(e, 0) + a
@@ -230,7 +235,7 @@ class LaurentPoly:
         return LaurentPoly({int(e): int(a) for e, a in data})
 
 
-ZERO = LaurentPoly.zero()
+ZERO = LaurentPoly()
 ONE = LaurentPoly.one()
 Q = LaurentPoly.q_power(1)
 QINV = LaurentPoly.q_power(-1)

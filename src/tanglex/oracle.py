@@ -53,29 +53,20 @@ def closure_components(word, strands: int) -> int:
     return n
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)),
-                           start=ZERO) for j in range(n)) for i in range(n))
-
-
-def _identity(n):
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n))
-                 for i in range(n))
-
-
 def unreduced_burau(word, strands: int):
-    m = _identity(strands)
+    # right-multiplying by a generator rewrites only columns i and i+1:
+    # col_i, col_i+1 = x*a + y*c, x*b + y*d for the block ((a, b), (c, d))
+    m = [[ONE if i == j else ZERO for j in range(strands)]
+         for i in range(strands)]
     for g in word:
         i = abs(g) - 1
         if g == 0 or i >= strands - 1:
             raise ValueError(f"generator {g} out of range")
-        block = _GEN_BLOCK if g > 0 else _INV_BLOCK
-        gen = [list(row) for row in _identity(strands)]
-        gen[i][i], gen[i][i + 1] = block[0]
-        gen[i + 1][i], gen[i + 1][i + 1] = block[1]
-        m = _mat_mul(m, tuple(tuple(row) for row in gen))
-    return m
+        (a, b), (c, d) = _GEN_BLOCK if g > 0 else _INV_BLOCK
+        for row in m:
+            x, y = row[i], row[i + 1]
+            row[i], row[i + 1] = x * a + y * c, x * b + y * d
+    return tuple(tuple(row) for row in m)
 
 
 def burau_reduced(word, strands: int):

@@ -24,12 +24,29 @@ pair 00 <-> 11, a cap destroying 11, a cup creating 11), a twist
 above the pair.  The local tables are derived from the 5-term tables by
 diagram surgery on a 3-point cut, once, on the first dp evaluation; no
 transition cache is kept.
+
+The dp does no polynomial arithmetic.  Each key's coefficient is carried as
+one int, its value at q = 2^B (Kronecker substitution).  Each table has a
+shift s (minus its lowest exponent: 1 for a crossing, 0 for a cup or cap),
+so every entry times q^s is a polynomial in q, and the kernel carries
+q^(sum of s) * p(q) at q = 2^B.  Each table also has a row L1 norm: the
+largest sum, over one input pair and twist, of the L1 norms of the
+coefficients of a row (3 for a crossing, 2 for a cup, 1 for a cap).  The
+total L1 norm of the state starts at 2^bottom and each slice multiplies it
+at most by its row norm, so every coefficient of the result is bounded by
+M = 2^bottom * prod(row norms).  With B = bitlength(M) + 1, the coefficients
+are the unique balanced base-2^B digits of the int, in [-2^(B-1), 2^(B-1)),
+read once per key at the end, from exponent -(sum of s) upward.
+
+``expand_states`` and the Burau oracle keep ``LaurentPoly`` arithmetic: they
+are the independent checks of the dp, so they share none of its packing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .laurent import LaurentPoly, ONE, ZERO
 from .diagram import ClassVector, DiagramVector, FlatDiagram, dotted_class
@@ -412,15 +429,80 @@ def _local_table(terms, consumed, produced):
     return tuple(rows)
 
 
+class _KernelTable(NamedTuple):
+    rows: tuple   # per input pair value: (plain, twisted) (out, coeff) lists
+    shift: int    # q^shift * c has no negative exponent, for every entry c
+    norm: int     # row L1 norm
+
+
+def _table_bound(rows):
+    """(shift, norm) of a local table: shift = -(lowest exponent of any
+    entry), and norm = the largest sum, over one row (input pair value and
+    twist), of the L1 norms of its coefficients."""
+    parts = [part for row in rows for part in row]
+    shift = -min(c.min_exp() for part in parts for _, c in part)
+    norm = max(sum(abs(a) for _, c in part for _, a in c.terms())
+               for part in parts)
+    return shift, norm
+
+
 @lru_cache(maxsize=1)
 def _kernel_tables() -> dict:
-    """Local tables of all slice types: (sign, rot) for the crossings, CUP
-    and CAP.  Derived on the first evaluation, not at import."""
-    tables = {key: _local_table(terms, True, True)
-              for key, terms in base_tables().five.items()}
-    tables[CUP] = _local_table(_CUP_TERMS_DOTTED, False, True)
-    tables[CAP] = _local_table(_CAP_TERM, True, False)
-    return tables
+    """Local tables of all slice types, with their bounds: (sign, rot) for
+    the crossings, CUP and CAP.  Derived on the first evaluation, not at
+    import."""
+    rows = {key: _local_table(terms, True, True)
+            for key, terms in base_tables().five.items()}
+    rows[CUP] = _local_table(_CUP_TERMS_DOTTED, False, True)
+    rows[CAP] = _local_table(_CAP_TERM, True, False)
+    return {key: _KernelTable(r, *_table_bound(r)) for key, r in rows.items()}
+
+
+def _digit_width(k: int, norms) -> int:
+    """A digit width B for which every coefficient of the result lies in
+    [-2^(B-1), 2^(B-1)).  The total L1 norm of the state (over all keys and
+    coefficients) starts at 2^k and each slice multiplies it by at most the
+    row norm of its table, so M = 2^k * prod(norms) bounds every
+    coefficient."""
+    m = 1 << k
+    for norm in norms:
+        m *= norm
+    return m.bit_length() + 1
+
+
+def _encode(p: LaurentPoly, shift: int, width: int) -> int:
+    """q^shift * p(q) at q = 2^width; shift must clear every negative
+    exponent."""
+    v = 0
+    for e, a in p.terms():
+        if e + shift < 0:
+            raise ValueError(f"shift {shift} leaves exponent {e + shift}")
+        v += a << (width * (e + shift))
+    return v
+
+
+def _decode(v: int, width: int, offset: int) -> LaurentPoly:
+    """Inverse of _encode: the polynomial whose coefficients are the
+    balanced base-2^width digits of v, in [-2^(width-1), 2^(width-1)),
+    with the lowest digit at exponent offset (= -shift)."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    coeffs = {}
+    e = offset
+    while v:
+        d = ((v + half) & mask) - half
+        if d:
+            coeffs[e] = d
+        v = (v - d) >> width
+        e += 1
+    return LaurentPoly(coeffs)
+
+
+def _pack(table: _KernelTable, width: int) -> tuple:
+    """The table's rows with each coefficient encoded at q = 2^width."""
+    return tuple(tuple(tuple((out, _encode(c, table.shift, width))
+                             for out, c in part) for part in row)
+                 for row in table.rows)
 
 
 def evaluate_dp(word: MorseWord) -> ClassVector:
@@ -429,29 +511,37 @@ def evaluate_dp(word: MorseWord) -> ClassVector:
     tables = _kernel_tables()
     an = analyze(word)
     k = word.bottom_count
-    # initial sliver: nested undotted strands from bottom p to cut p
+    # one step per slice: table key, ib (lowest bit of the pair), and
+    # width_in / width_out (pair bits consumed / produced by the slice)
+    steps = []
+    ci = iter(an.crossings)
+    w = k
+    for sl in word.slices:
+        if sl.kind == CUP:
+            step = (CUP, k + w - sl.pos + 1, 0, 2)
+        elif sl.kind == CAP:
+            step = (CAP, k + w - sl.pos - 1, 2, 0)
+        else:
+            info = next(ci)
+            step = ((info.sign, info.rot), k + w - sl.pos - 1, 2, 2)
+        steps.append(step)
+        w += step[3] - step[2]
+    used = [tables[step[0]] for step in steps]
+    width = _digit_width(k, [table.norm for table in used])
+    offset = -sum(table.shift for table in used)
+    packed = {key: _pack(tables[key], width)
+              for key in {step[0] for step in steps}}
+    # initial sliver: nested undotted strands from bottom p to cut p, each
+    # with coefficient 1
     state = {}
     for bits in range(1 << k):
         key = 0
         for p in range(k):
             if bits >> p & 1:
                 key |= (1 << p) | (1 << (2 * k - 1 - p))
-        state[key] = ONE
-    ci = iter(an.crossings)
-    w = k
-    for sl in word.slices:
-        # ib: lowest bit of the pair; width_in / width_out: pair bits
-        # consumed / produced by the slice
-        if sl.kind == CUP:
-            table = tables[CUP]
-            ib, width_in, width_out = k + w - sl.pos + 1, 0, 2
-        elif sl.kind == CAP:
-            table = tables[CAP]
-            ib, width_in, width_out = k + w - sl.pos - 1, 2, 0
-        else:
-            info = next(ci)
-            table = tables[(info.sign, info.rot)]
-            ib, width_in, width_out = k + w - sl.pos - 1, 2, 2
+        state[key] = 1
+    for table_key, ib, width_in, width_out in steps:
+        table = packed[table_key]
         low_mask = (1 << ib) - 1
         pair_mask = (1 << width_in) - 1
         new = {}
@@ -463,13 +553,11 @@ def evaluate_dp(word: MorseWord) -> ClassVector:
             flip = ((low.bit_count() >> 1) + (high.bit_count() >> 1)) & 1
             for out, c in table[(key >> ib) & pair_mask][flip]:
                 nk = rest | (out << ib)
-                term = coeff * c
-                old = new.get(nk)
-                new[nk] = term if old is None else old + term
+                new[nk] = new.get(nk, 0) + coeff * c
         state = {key: c for key, c in new.items() if c}
-        w += width_out - width_in
     n = k + w
-    return ClassVector(n, {tuple(i + 1 for i in range(n) if key >> i & 1): c
+    return ClassVector(n, {tuple(i + 1 for i in range(n) if key >> i & 1):
+                           _decode(c, width, offset)
                            for key, c in state.items()})
 
 

@@ -1,9 +1,13 @@
 """Normalized Alexander polynomial and the vector-valued tangle invariant."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import tanglex
 from tanglex.laurent import LaurentPoly, ONE
 from tanglex.tangle import (EndpointCountError, R1Move, apply_move,
                             braid_to_tangle, move_sites, parse, random_move,
@@ -45,8 +49,22 @@ class TestAlexander:
             assert r.alexander * minus_q_power(r.tau) == r.delta
 
     def test_normalized_result_validates(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             NormalizedResult(ONE, 1, ONE)
+
+    def test_normalized_result_check_survives_optimize_flag(self):
+        # python -O strips assert statements; the check must still raise
+        code = ("from tanglex.laurent import ONE\n"
+                "from tanglex.invariant import NormalizedResult\n"
+                "try:\n"
+                "    NormalizedResult(ONE, 1, ONE)\n"
+                "except ValueError:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit(1)\n")
+        src = os.path.dirname(os.path.dirname(tanglex.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        r = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+        assert r.returncode == 0
 
     def test_requires_two_endpoints(self):
         with pytest.raises(EndpointCountError):

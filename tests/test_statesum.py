@@ -6,12 +6,13 @@ import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import tanglex
-from tanglex import diagram, statesum, tangle
+from tanglex import diagram, invariant, laurent, oracle, statesum, tangle
 from tanglex.laurent import LaurentPoly, ONE
 from tanglex.diagram import (DiagramVector, FlatDiagram, canonical_rep,
                              coordinates, saddle_element)
@@ -281,6 +282,89 @@ class TestKernel:
         assert res.alexander == alexander_via_burau(word, n), (word, n)
 
 
+class TestPacking:
+    """The dp evaluates every coefficient at q = 2^B as one int."""
+
+    def test_table_bounds(self):
+        tables = statesum._kernel_tables()
+        for key, table in tables.items():
+            if key in (tangle.CUP, tangle.CAP):
+                assert table.shift == 0, key
+            else:
+                assert table.shift == 1 and table.norm == 3, key
+        assert tables[tangle.CUP].norm == 2
+        assert tables[tangle.CAP].norm == 1
+
+    def test_digit_width(self):
+        # |coefficient| <= 2^k * prod(norms) = M < 2^(B-1)
+        assert statesum._digit_width(0, []) == 2
+        assert statesum._digit_width(1, [3, 3]) == 6     # M = 18
+        assert statesum._digit_width(2, [2, 1, 2]) == 6  # M = 16
+
+    def test_encode_decode_round_trip(self):
+        rng = random.Random(6)
+        cases = []
+        for _ in range(300):
+            width = rng.randint(2, 70)
+            top = (1 << (width - 1)) - 1
+            pool = [top, -top, -top - 1, 1, -1,
+                    rng.randint(-top - 1, top)]
+            lo = rng.randint(-6, 6)
+            # exponents left out of the dict are zero digits
+            coeffs = {e: rng.choice(pool)
+                      for e in range(lo, lo + rng.randint(0, 9))
+                      if rng.random() < 0.6}
+            cases.append((LaurentPoly(coeffs), width))
+        cases += [(LaurentPoly({3: -1}), 2),             # negative leading
+                  (LaurentPoly({-2: -31, 4: 31}), 6),    # zero digits
+                  (LaurentPoly({0: -32, 1: -32}), 6),    # lowest digit value
+                  (LaurentPoly(), 5)]
+        for p, width in cases:
+            shift = (-p.min_exp() if p else 0) + rng.randint(0, 3)
+            v = statesum._encode(p, shift, width)
+            assert statesum._decode(v, width, -shift) == p, (p, shift, width)
+
+    def test_encode_rejects_negative_exponent(self):
+        with pytest.raises(ValueError):
+            statesum._encode(QI, 0, 8)
+
+    def test_kernel_multiplies_no_polynomials(self):
+        w = braid_to_tangle([1, -2, 1, -2, 3, 2, -3], 4)
+        want = evaluate_dp(w)           # derives the kernel tables once
+
+        def refuse(*args):
+            raise AssertionError("LaurentPoly product in the dp kernel")
+
+        with mock.patch.object(LaurentPoly, "__mul__", refuse), \
+                mock.patch.object(LaurentPoly, "__rmul__", refuse):
+            got = evaluate_dp(w)
+        assert got == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(morse_words())
+    def test_wider_digits_change_nothing(self, w):
+        # a digit width too small for some coefficient would show as a
+        # difference against one 17 bits wider
+        want = evaluate_dp(w)
+        width = statesum._digit_width
+        with mock.patch.object(statesum, "_digit_width",
+                               lambda k, norms: width(k, norms) + 17):
+            assert evaluate_dp(w) == want, str(w)
+
+    def test_dp_alexander_matches_burau_on_wide_knots(self):
+        # 7-8 strands, 20-25 letters: larger coefficients and digit widths
+        # than the generated braids of TestKernel
+        rng = random.Random(7)
+        for n, length in ((7, 20), (7, 24), (8, 21), (8, 25)):
+            while True:
+                word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                        for _ in range(length)]
+                if closure_components(word, n) == 1:
+                    break
+            res = alexander_polynomial(braid_to_tangle(word, n))
+            assert res.alexander == alexander_via_burau(word, n), (word, n)
+
+
 class TestBoundedMemory:
     @staticmethod
     def module_cache_sizes():
@@ -309,7 +393,7 @@ class TestBoundedMemory:
 
     def test_no_assert_statements_in_evaluator_modules(self):
         # python -O strips assert statements; result checks must raise
-        for mod in (diagram, statesum, tangle):
+        for mod in (diagram, statesum, tangle, laurent, oracle, invariant):
             tree = ast.parse(inspect.getsource(mod))
             found = [n.lineno for n in ast.walk(tree)
                      if isinstance(n, ast.Assert)]
