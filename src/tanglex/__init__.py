@@ -4,11 +4,9 @@ from .laurent import LaurentPoly
 from .diagram import (ClassVector, DiagramVector, FlatDiagram, canonical_rep,
                       coordinates, enumerate_basis, glue_evaluate,
                       inner_product, motzkin, saddle_element)
-from .tangle import (MorseWord, OrientedCrossing, R1Move, R2Move, R3Move,
-                     Slice, apply_move, braid_to_tangle, crossing_signs,
-                     parse, turning_number)
-from .statesum import (base_tables, delta_scalar, evaluate_dp, evaluate_naive,
-                       expand_states)
+from .tangle import (MorseWord, R1Move, R2Move, R3Move, Slice, apply_move,
+                     braid_to_tangle, parse, turning_number)
+from .statesum import base_tables, evaluate_dp, evaluate_naive, expand_states
 from .invariant import (NormalizedResult, alexander_polynomial,
                         skein_triple_check, tangle_invariant)
 from .oracle import (KNOT_CORPUS, alexander_via_burau, burau_reduced,

@@ -6,8 +6,11 @@ Commands:
              Burau determinant value when the input is a braid whose closure
              is a knot.
   vector     print the tangle invariant in canonical coordinates.
-  check      run the identity suites (tables, skein, R1/R2/R3, negligibility,
-             Gram matrices, dimension counts) plus optional move fuzzing.
+  check      run the identity suite of tanglex.checks (tables, dotted
+             equivalence, R1/R2/R3, skein, negligibility, Gram matrices),
+             --dims dimension counts, and a chained move-invariance walk of
+             --fuzz moves (default 25).  A failed identity, or a consistency
+             error the library raises while checking, is a FAIL row.
 
 Exit codes: 0 ok, 1 check-suite failure, 2 bad input, 3 evaluator mismatch,
 4 oracle mismatch.
@@ -17,24 +20,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from .laurent import LaurentPoly
-from .diagram import (DiagramVector, FlatDiagram, canonical_rep, coordinates,
-                      enumerate_basis, glue_evaluate, inner_product, motzkin,
-                      saddle_element, even_subsets)
-from .tangle import (MorseWord, TangleError, apply_move, braid_to_tangle,
-                     parse, random_move, random_word, turning_number)
-from .statesum import (base_tables, evaluate_dp, evaluate_naive,
-                       expand_states)
+from .tangle import MorseWord, TangleError, braid_to_tangle, parse
 from .invariant import (EvaluatorMismatchError, alexander_polynomial,
-                        minus_q_power, tangle_invariant)
+                        tangle_invariant)
 from . import oracle as oracle_mod
 
 OK, FAIL, BAD_INPUT, EVAL_MISMATCH, ORACLE_MISMATCH = 0, 1, 2, 3, 4
-
-_Z = LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
 
 
 def _load_word(args) -> MorseWord:
@@ -119,193 +112,24 @@ def cmd_vector(args) -> int:
     return OK
 
 
-# ---------------------------------------------------------------------------
-# the identity suite
-
-
-def _check_tables():
-    tables = base_tables()
-    for rot in range(4):
-        pos, neg = tables.seven[(1, rot)], tables.seven[(-1, rot)]
-        assert len(pos) == 7 and len(neg) == 7
-        diff = {}
-        for t in pos:
-            key = (t.chords, t.ticks)
-            diff[key] = diff.get(key, LaurentPoly.zero()) + t.coeff
-        for t in neg:
-            key = (t.chords, t.ticks)
-            diff[key] = diff.get(key, LaurentPoly.zero()) - t.coeff
-        diff = {k: v for k, v in diff.items() if v}
-        sm = tables.smoothing(rot)
-        assert list(diff.keys()) == [(sm.chords, sm.ticks)], diff
-        assert diff[(sm.chords, sm.ticks)] == _Z
-    return "7-term tables, difference = (q - q^-1) * smoothing, 4 patterns"
-
-
-def _check_dotted_tables():
-    tables = base_tables()
-    for sign in (1, -1):
-        for rot in range(4):
-            five = tables.five[(sign, rot)]
-            seven = tables.seven[(sign, rot)]
-            assert len(five) == 5 and len(seven) == 7
-
-            def as_vector(terms):
-                v = DiagramVector(4)
-                for t in terms:
-                    d = FlatDiagram.make(
-                        4, [(a + 1, b + 1, dot) for a, b, dot in t.chords],
-                        [c + 1 for c in t.ticks])
-                    for dd, s in d.expand_dots().terms():
-                        v.add_term(dd, t.coeff * s)
-                return v
-
-            assert as_vector(five) == as_vector(seven), (sign, rot)
-    return "5-term dotted tables expand to the 7-term tables, 8 cases"
-
-
-def _strand_vec(coeff=LaurentPoly.one()):
-    return DiagramVector.single(FlatDiagram.make(2, [(1, 2, False)]), coeff)
-
-
-_R1_WORDS = (
-    ("right over", "bottom 1 up; cup 2 cw; x+ 1; cap 2;", -1),
-    ("right under", "bottom 1 up; cup 2 cw; x- 1; cap 2;", -1),
-    ("left over", "bottom 1 up; cup 1 ccw; x+ 2; cap 1;", 1),
-    ("left under", "bottom 1 up; cup 1 ccw; x- 2; cap 1;", 1),
-)
-
-
-def _check_r1():
-    for name, text, dtau in _R1_WORDS:
-        w = parse(text)
-        expect = minus_q_power(1).shift(dtau - 1)  # -q^(dtau)
-        assert evaluate_naive(w) == _strand_vec(expect), name
-        assert turning_number(w) == dtau, name
-    return "four R1 curls evaluate to -q^-1 / -q with matching turning numbers"
-
-
-def _check_r2():
-    for orient in ("up up", "down down"):
-        defect = (evaluate_naive(parse(f"bottom 2 {orient}; x+ 1; x- 1;"))
-                  - evaluate_naive(parse(f"bottom 2 {orient};")))
-        assert defect.is_zero(), orient
-    sad = saddle_element().expand_dots()
-    for orient in ("up down", "down up"):
-        for order in ("x+ 1; x- 1", "x- 1; x+ 1"):
-            two = evaluate_naive(parse(f"bottom 2 {orient}; {order};"))
-            ident = evaluate_naive(parse(f"bottom 2 {orient};"))
-            # the move defect is the saddle element (sign fixed by our
-            # reflection convention: identity minus crossings)
-            assert ident - two == sad, (orient, order)
-            assert coordinates(ident - two).is_zero()
-    return "R2 defect: 0 (parallel), saddle element (antiparallel), 0 in quotient"
-
-
-def _check_r3():
-    a = parse("bottom 3 up up up; x+ 1; x+ 2; x+ 1;")
-    b = parse("bottom 3 up up up; x+ 2; x+ 1; x+ 2;")
-    va, ca = expand_states(a)
-    vb, cb = expand_states(b)
-    assert va == vb and ca == cb == 343
-    _, c5a = expand_states(a, dotted=True)
-    _, c5b = expand_states(b, dotted=True)
-    assert c5a == c5b == 125
-    assert evaluate_dp(a) == evaluate_dp(b) == coordinates(va)
-    return "R3 sides agree (343 naive / 125 dotted terms each)"
-
-
-def _check_skein():
-    smooths = {"up up": "", "down down": "",
-               "up down": "cap 1; cup 1 ccw;", "down up": "cap 1; cup 1 cw;"}
-    for orient, smooth in smooths.items():
-        wo = parse(f"bottom 2 {orient}; x+ 1;")
-        wu = parse(f"bottom 2 {orient}; x- 1;")
-        from .tangle import crossing_signs
-        if crossing_signs(wo)[0].sign == 1:
-            pos_w, neg_w = wo, wu
-        else:
-            pos_w, neg_w = wu, wo
-        pos, neg = evaluate_naive(pos_w), evaluate_naive(neg_w)
-        sm = evaluate_naive(parse(f"bottom 2 {orient}; {smooth}"))
-        assert pos - neg == sm.scale(_Z), orient
-        assert (coordinates(pos) - coordinates(neg)
-                == coordinates(sm).scale(_Z)), orient
-    return "skein identity in all four orientation patterns"
-
-
-def _check_negligible():
-    basis = enumerate_basis(4)
-    assert len(basis) == 9 == motzkin(4)
-    sad = saddle_element()
-    for y in basis:
-        assert inner_product(sad, DiagramVector.single(y)).is_zero(), y
-    assert inner_product(sad, sad).is_zero()
-    return "saddle element pairs to 0 with all 9 basis diagrams of size 4"
-
-
-def _check_gram(ns=(2, 4, 6)):
-    for n in ns:
-        subsets = list(even_subsets(n))
-        assert len(subsets) == 2 ** (n - 1)
-        reps = [canonical_rep(s, n) for s in subsets]
-        for i, a in enumerate(reps):
-            for j, b in enumerate(reps):
-                g = glue_evaluate(a, b)
-                want = (-1) ** (len(subsets[i]) // 2) if i == j else 0
-                assert g == want, (n, subsets[i], subsets[j])
-    return f"Gram matrices diagonal with entries (-1)^(|S|/2) for n={list(ns)}"
-
-
-def _check_dims(limit):
-    details = []
-    for n in range(0, limit + 1):
-        assert len(enumerate_basis(n)) == motzkin(n)
-        if n >= 1:
-            assert sum(1 for _ in even_subsets(n)) == 2 ** (n - 1)
-        details.append(f"{n}:{motzkin(n)}")
-    return ("basis counts Motzkin [" + " ".join(details)
-            + f"], class counts 2^(n-1) for n<= {limit}")
-
-
-def _check_fuzz(trials, seed):
-    rng = random.Random(seed)
-    done = 0
-    while done < trials:
-        w = random_word(rng, max_crossings=8, bottom=1)
-        base = alexander_polynomial(w)
-        mv = random_move(rng, w)
-        w2 = apply_move(w, mv)
-        res = alexander_polynomial(w2)
-        assert res.alexander == base.alexander, (str(w), mv)
-        dtau = res.tau - base.tau
-        assert res.delta == base.delta * minus_q_power(dtau), (str(w), mv)
-        done += 1
-    return f"{trials} random move-invariance trials (seed {seed})"
-
-
 def cmd_check(args) -> int:
-    checks = [
-        ("crossing-tables", _check_tables),
-        ("dotted-equivalence", _check_dotted_tables),
-        ("reidemeister-1", _check_r1),
-        ("reidemeister-2", _check_r2),
-        ("reidemeister-3", _check_r3),
-        ("skein", _check_skein),
-        ("negligibility", _check_negligible),
-        ("gram", _check_gram),
-    ]
+    # imported here: the suite parses its words on import, which alexander
+    # and vector never need
+    from . import checks
+    suite = list(checks.SUITE)
     if args.dims:
-        checks.append(("dimensions", lambda: _check_dims(args.dims)))
-    trials = args.fuzz if args.fuzz else 25
-    checks.append(("move-fuzz", lambda: _check_fuzz(trials, args.seed)))
+        suite.append(("dimensions", lambda: checks.dimensions(args.dims)))
+    moves = args.fuzz or 25
+    suite.append(("move-fuzz", lambda: checks.move_fuzz(moves, args.seed)))
     failures = 0
     rows = []
-    for name, fn in checks:
+    for name, fn in suite:
         try:
-            detail = fn()
-            rows.append({"name": name, "ok": True, "detail": detail})
-        except AssertionError as exc:
+            rows.append({"name": name, "ok": True, "detail": fn()})
+        except (checks.CheckFailed, EvaluatorMismatchError,
+                AssertionError) as exc:
+            # AssertionError is what the library's own consistency checks
+            # (state counts, dotted classes, cap gaps) raise
             failures += 1
             rows.append({"name": name, "ok": False, "detail": str(exc)})
     if args.format == "json":
@@ -346,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--dims", type=int, default=0,
                     help="also verify dimension counts up to n")
     pc.add_argument("--fuzz", type=int, default=0,
-                    help="number of random move-invariance trials")
+                    help="number of random moves in the invariance walk "
+                         "(default 25)")
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--format", choices=("text", "json"), default="text")
     pc.set_defaults(fn=cmd_check)

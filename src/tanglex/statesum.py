@@ -565,15 +565,6 @@ def evaluate_dp(word: MorseWord) -> ClassVector:
 # the scalar invariant of a 2-endpoint tangle
 
 
-def delta_scalar(word: MorseWord) -> LaurentPoly:
-    """Sum of the state coefficients whose diagram is the bare boundary-to-
-    boundary strand: no loops, no strand with exactly one boundary endpoint."""
-    if word.endpoint_count != 2:
-        raise EndpointCountError("delta needs exactly 2 boundary endpoints")
-    v = evaluate_naive(word)
-    return v[FlatDiagram.make(2, [(1, 2, False)], [])]
-
-
 def delta_from_class(cv: ClassVector) -> LaurentPoly:
     """The same scalar read off the quotient coordinates of a 2-endpoint
     tangle; the two keys carry equal values for any true tangle image."""

@@ -110,14 +110,6 @@ class CrossingInfo:
     rot: int  # quarter-turns carrying the up-up pattern to this one
 
 
-@dataclass(frozen=True)
-class OrientedCrossing:
-    """Crossing sign plus the pair of strand directions."""
-
-    sign: int
-    orientation_pattern: tuple  # ('up'|'down', 'up'|'down') for ("/", "\\")
-
-
 _ROT_OF_PATTERN = {(1, 1): 0, (-1, 1): 1, (-1, -1): 2, (1, -1): 3}
 
 
@@ -223,13 +215,6 @@ def _analyze(word: MorseWord) -> _Analysis:
     bottom_dirs = tuple(wire_dir[i] for i in range(k))
     return _Analysis(tuple(widths), wire_dir, tuple(levels), crossings,
                      top_dirs, bottom_dirs)
-
-
-def crossing_signs(word: MorseWord) -> list:
-    """Sign and orientation pattern for each crossing slice, in order."""
-    name = {1: "up", -1: "down"}
-    return [OrientedCrossing(c.sign, (name[c.d1], name[c.d2]))
-            for c in analyze(word).crossings]
 
 
 def writhe(word: MorseWord) -> int:

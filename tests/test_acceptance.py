@@ -2,29 +2,24 @@
 
 Every comparison here is exact (integer Laurent arithmetic); the time budgets
 are the stated ones.  Inputs are parsed and the expansion tables built before
-the clock starts; the timed region is the checked computation itself.
+the clock starts (tanglex.checks parses its words on import); the timed region
+is the checked computation itself.
 """
 
 import random
 import time
 
+from tanglex import checks
 from tanglex.laurent import LaurentPoly, ONE
-from tanglex.diagram import (DiagramVector, FlatDiagram, canonical_rep,
-                             coordinates, enumerate_basis, even_subsets,
-                             glue_evaluate, inner_product, motzkin,
-                             saddle_element)
-from tanglex.tangle import (apply_move, braid_to_tangle, parse, random_move,
-                            random_word)
-from tanglex.statesum import (base_tables, evaluate_dp, evaluate_naive,
-                              expand_states)
-from tanglex.invariant import alexander_polynomial, minus_q_power
+from tanglex.diagram import coordinates
+from tanglex.tangle import braid_to_tangle, random_word
+from tanglex.statesum import base_tables, evaluate_dp, evaluate_naive
+from tanglex.invariant import alexander_polynomial
 from tanglex.oracle import KNOT_CORPUS, alexander_via_burau, hopf_link_value
 
-Q = LaurentPoly.q_power(1)
-QI = LaurentPoly.q_power(-1)
-Z = Q - QI
+Z = LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
 
-_tables = base_tables()  # built before any timing starts
+base_tables()  # built before any timing starts
 
 
 def timed(name, budget_s, fn):
@@ -43,145 +38,35 @@ def timed(name, budget_s, fn):
     assert best < budget_s, f"{name} exceeded its {budget_s}s budget ({best:.3f}s)"
 
 
-def expand_term_symbolic(term):
-    """Dot-expand a table term into {(chords, ticks): coeff} on the corners."""
-    out = {}
-    dotted = [(a, b) for a, b, d in term.chords if d]
-    plain = tuple((a, b) for a, b, d in term.chords if not d)
-    for bits in range(1 << len(dotted)):
-        chords = list(plain)
-        ticks = set(term.ticks)
-        sign = 1
-        for i, (a, b) in enumerate(dotted):
-            if bits >> i & 1:
-                chords.append((a, b))
-            else:
-                sign = -sign
-                ticks.update((a, b))
-        key = (tuple(sorted(chords)), frozenset(ticks))
-        c = out.get(key, LaurentPoly.zero()) + (term.coeff if sign > 0
-                                                else -term.coeff)
-        if c:
-            out[key] = c
-        elif key in out:
-            del out[key]
-    return out
-
-
-def table_to_dict(terms, expand=False):
-    out = {}
-    for t in terms:
-        pieces = (expand_term_symbolic(t) if expand else
-                  {(tuple((a, b) for a, b, _ in t.chords), t.ticks): t.coeff})
-        for key, c in pieces.items():
-            v = out.get(key, LaurentPoly.zero()) + c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return out
+# criteria 1-7 and 10 run the identity suite shared with `tanglex check`
 
 
 def test_criterion_1_crossing_table_fidelity():
-    def check():
-        for rot in range(4):
-            pos = _tables.seven[(1, rot)]
-            neg = _tables.seven[(-1, rot)]
-            assert len(pos) == 7 and len(neg) == 7
-            diff = table_to_dict(pos)
-            for key, c in table_to_dict(neg).items():
-                v = diff.get(key, LaurentPoly.zero()) - c
-                if v:
-                    diff[key] = v
-                else:
-                    diff.pop(key, None)
-            sm = _tables.smoothing(rot)
-            want = {(tuple((a, b) for a, b, _ in sm.chords), sm.ticks): Z}
-            assert diff == want, rot
-        return "7+7 terms per pattern, difference = (q - q^-1) * smoothing"
-    timed("criterion 1 (crossing tables)", 0.001, check)
+    timed("criterion 1 (crossing tables)", 0.001, checks.crossing_tables)
 
 
 def test_criterion_2_dotted_equivalence():
-    def check():
-        for sign in (1, -1):
-            for rot in range(4):
-                five = table_to_dict(_tables.five[(sign, rot)], expand=True)
-                seven = table_to_dict(_tables.seven[(sign, rot)], expand=True)
-                assert five == seven, (sign, rot)
-        return "5-term dotted tables reproduce the 7-term tables, 8 cases"
-    timed("criterion 2 (dotted equivalence)", 0.001, check)
+    timed("criterion 2 (dotted equivalence)", 0.001, checks.dotted_equivalence)
 
 
 def test_criterion_3_reidemeister_one():
-    strand = DiagramVector.single(FlatDiagram.make(2, [(1, 2)]))
-    curls = [(parse("bottom 1 up; cup 2 cw; x+ 1; cap 2;"), -QI),
-             (parse("bottom 1 up; cup 2 cw; x- 1; cap 2;"), -QI),
-             (parse("bottom 1 up; cup 1 ccw; x+ 2; cap 1;"), -Q),
-             (parse("bottom 1 up; cup 1 ccw; x- 2; cap 1;"), -Q)]
-
-    def check():
-        for word, coeff in curls:
-            assert evaluate_naive(word) == strand.scale(coeff)
-        return "four curls evaluate to -q^-1, -q^-1, -q, -q times the strand"
-    timed("criterion 3 (R1 curls)", 0.010, check)
+    timed("criterion 3 (R1 curls)", 0.010, checks.reidemeister_1)
 
 
 def test_criterion_4_reidemeister_two():
-    words = {}
-    for orient in ("up down", "down up"):
-        words[orient] = (parse(f"bottom 2 {orient}; x+ 1; x- 1;"),
-                         parse(f"bottom 2 {orient};"))
-    sad = saddle_element().expand_dots()
-
-    def check():
-        for orient, (two, ident) in words.items():
-            defect = evaluate_naive(ident) - evaluate_naive(two)
-            assert defect == sad, orient
-            assert coordinates(defect).is_zero(), orient
-        return "R2 defect equals the saddle element, and is 0 in the quotient"
-    timed("criterion 4 (R2 saddle defect)", 0.010, check)
+    timed("criterion 4 (R2 saddle defect)", 0.010, checks.reidemeister_2)
 
 
 def test_criterion_5_reidemeister_three():
-    a = parse("bottom 3 up up up; x+ 1; x+ 2; x+ 1;")
-    b = parse("bottom 3 up up up; x+ 2; x+ 1; x+ 2;")
-
-    def check():
-        va = evaluate_dp(a)
-        vb = evaluate_dp(b)
-        assert va == vb
-        _, ca = expand_states(a, dotted=True)
-        _, cb = expand_states(b, dotted=True)
-        assert ca == cb == 125
-        return "class vectors agree; 125 dotted terms on each side"
-    timed("criterion 5 (R3)", 1.0, check)
+    timed("criterion 5 (R3)", 1.0, checks.reidemeister_3)
 
 
 def test_criterion_6_negligibility():
-    sad = saddle_element()
-
-    def check():
-        basis = enumerate_basis(4)
-        assert len(basis) == 9 == motzkin(4)
-        for y in basis:
-            assert inner_product(sad, DiagramVector.single(y)).is_zero()
-        return "saddle pairs to 0 with all 9 basis diagrams of size 4"
-    timed("criterion 6 (negligibility)", 0.010, check)
+    timed("criterion 6 (negligibility)", 0.010, checks.negligibility)
 
 
 def test_criterion_7_basis_gram():
-    def check():
-        for n in (2, 4, 6):
-            subsets = list(even_subsets(n))
-            assert len(subsets) == 2 ** (n - 1)
-            reps = [canonical_rep(s, n) for s in subsets]
-            for i, a in enumerate(reps):
-                for j, b in enumerate(reps):
-                    want = (-1) ** (len(subsets[i]) // 2) if i == j else 0
-                    assert glue_evaluate(a, b) == want
-        return "Gram diagonal with entries (-1)^(|S|/2); 2^(n-1) classes, n=2,4,6"
-    timed("criterion 7 (basis/Gram)", 1.0, check)
+    timed("criterion 7 (basis/Gram)", 1.0, checks.gram)
 
 
 def test_criterion_8_oracle_equivalence():
@@ -220,23 +105,7 @@ def test_criterion_9_evaluator_agreement():
 
 
 def test_criterion_10_move_invariance_fuzz():
-    rng = random.Random(97)
-
-    def check():
-        moves_done = 0
-        while moves_done < 200:
-            w = random_word(rng, max_crossings=8, bottom=1)
-            base = alexander_polynomial(w, "dp")
-            for _ in range(4):
-                mv = random_move(rng, w)
-                w = apply_move(w, mv)
-                res = alexander_polynomial(w, "dp")
-                assert res.alexander == base.alexander, (str(w), mv)
-                dtau = res.tau - base.tau
-                assert res.delta == base.delta * minus_q_power(dtau)
-                moves_done += 1
-        return f"{moves_done} random R1/R2/R3 perturbations, exact invariance"
-    timed("criterion 10 (move fuzz)", 60.0, check)
+    timed("criterion 10 (move fuzz)", 60.0, lambda: checks.move_fuzz(200, 97))
 
 
 def test_criterion_11_hopf_link():

@@ -1,8 +1,17 @@
 """Command line behaviour: outputs, exit codes, JSON round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from unittest import mock
 
+import pytest
+
+import tanglex
+from tanglex import checks
 from tanglex.cli import main
+from tanglex.invariant import EvaluatorMismatchError
 from tanglex.laurent import LaurentPoly
 from tanglex.diagram import ClassVector
 
@@ -106,6 +115,36 @@ class TestCheckCommand:
         _, out1, _ = run(capsys, "check", "--fuzz", "5", "--seed", "3")
         _, out2, _ = run(capsys, "check", "--fuzz", "5", "--seed", "3")
         assert out1 == out2
+
+
+class TestCheckFailures:
+    @pytest.mark.parametrize("error", [
+        AssertionError("state count 1 != 343"),
+        EvaluatorMismatchError("dp and naive class vectors differ"),
+        checks.CheckFailed("R3 sides differ in the diagram space"),
+    ])
+    def test_error_in_a_check_is_a_fail_row(self, capsys, error):
+        with mock.patch.object(checks, "expand_states", side_effect=error):
+            code, out, _ = run(capsys, "check")
+        assert code == 1
+        assert f"FAIL reidemeister-3: {error}" in out.splitlines()
+        assert sum(line.startswith("PASS") for line in out.splitlines()) == 8
+
+    def test_broken_gram_fails_under_optimize(self):
+        # python -O strips assert statements; the suite must still fail
+        code = ("import sys\n"
+                "from unittest import mock\n"
+                "from tanglex import checks, cli\n"
+                "with mock.patch.object(checks, 'glue_evaluate',\n"
+                "                       return_value=7):\n"
+                "    sys.exit(cli.main(['check']))\n")
+        src = os.path.dirname(os.path.dirname(tanglex.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 1, out.stderr
+        assert any(line.startswith("FAIL gram")
+                   for line in out.stdout.splitlines())
 
 
 class TestInputHandling:

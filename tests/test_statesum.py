@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import tanglex
-from tanglex import diagram, invariant, laurent, oracle, statesum, tangle
+from tanglex import (checks, cli, diagram, invariant, laurent, oracle,
+                     statesum, tangle)
 from tanglex.laurent import LaurentPoly, ONE
 from tanglex.diagram import (DiagramVector, FlatDiagram, canonical_rep,
                              coordinates, saddle_element)
@@ -20,8 +21,8 @@ from tanglex.invariant import alexander_polynomial
 from tanglex.oracle import alexander_via_burau, closure_components
 from tanglex.tangle import (EndpointCountError, braid_to_tangle, parse,
                             random_word)
-from tanglex.statesum import (base_tables, delta_from_class, delta_scalar,
-                              evaluate_dp, evaluate_naive, expand_states)
+from tanglex.statesum import (base_tables, delta_from_class, evaluate_dp,
+                              evaluate_naive, expand_states)
 
 Q = LaurentPoly.q_power(1)
 QI = LaurentPoly.q_power(-1)
@@ -153,15 +154,14 @@ class TestReidemeisterIdentities:
         assert a == b
 
     def test_skein_all_patterns(self):
-        from tanglex.tangle import crossing_signs
         smooths = {"up up": "", "down down": "",
                    "up down": "cap 1; cup 1 ccw;",
                    "down up": "cap 1; cup 1 cw;"}
         for orient, smooth in smooths.items():
             wo = parse(f"bottom 2 {orient}; x+ 1;")
             wu = parse(f"bottom 2 {orient}; x- 1;")
-            pos_w, neg_w = ((wo, wu) if crossing_signs(wo)[0].sign == 1
-                            else (wu, wo))
+            sign = tangle.analyze(wo).crossings[0].sign
+            pos_w, neg_w = (wo, wu) if sign == 1 else (wu, wo)
             pos, neg = evaluate_naive(pos_w), evaluate_naive(neg_w)
             sm = evaluate_naive(parse(f"bottom 2 {orient}; {smooth}"))
             assert pos - neg == sm.scale(Z), orient
@@ -393,7 +393,8 @@ class TestBoundedMemory:
 
     def test_no_assert_statements_in_evaluator_modules(self):
         # python -O strips assert statements; result checks must raise
-        for mod in (diagram, statesum, tangle, laurent, oracle, invariant):
+        for mod in (diagram, statesum, tangle, laurent, oracle, invariant,
+                    cli, checks):
             tree = ast.parse(inspect.getsource(mod))
             found = [n.lineno for n in ast.walk(tree)
                      if isinstance(n, ast.Assert)]
@@ -402,12 +403,14 @@ class TestBoundedMemory:
 
 class TestDelta:
     def test_examples(self):
-        assert delta_scalar(parse("bottom 1 up;")) == ONE
-        assert delta_scalar(parse("bottom 1 up; cup 2 cw; x+ 1; cap 2;")) == -QI
+        def delta(text):
+            return alexander_polynomial(parse(text), "naive").delta
+        assert delta("bottom 1 up;") == ONE
+        assert delta("bottom 1 up; cup 2 cw; x+ 1; cap 2;") == -QI
 
     def test_requires_two_endpoints(self):
         with pytest.raises(EndpointCountError):
-            delta_scalar(parse("bottom 2 up up;"))
+            alexander_polynomial(parse("bottom 2 up up;"), "naive")
         with pytest.raises(EndpointCountError):
             delta_from_class(evaluate_dp(parse("bottom 2 up up;")))
 

@@ -8,9 +8,12 @@ from tanglex.tangle import (CAP, CUP, OVER, UNDER, EndpointCountError,
                             MorseWord, MoveError, OrientationError, R1Move,
                             R2Move, R3Move, Slice, TangleSyntaxError,
                             VALID_R3_TRIPLES, WidthError, analyze, apply_move,
-                            braid_to_tangle, crossing_signs, format_word,
-                            move_sites, parse, random_word,
-                            turning_number, writhe)
+                            braid_to_tangle, format_word, move_sites, parse,
+                            random_word, turning_number, writhe)
+
+
+def signs(word):
+    return [c.sign for c in analyze(word).crossings]
 
 
 class TestParse:
@@ -75,26 +78,25 @@ class TestParse:
 
 class TestCrossingSigns:
     def test_anchor(self):
-        assert crossing_signs(parse("bottom 2 up up; x+ 1;"))[0].sign == 1
-        assert crossing_signs(parse("bottom 2 up up; x- 1;"))[0].sign == -1
+        assert signs(parse("bottom 2 up up; x+ 1;")) == [1]
+        assert signs(parse("bottom 2 up up; x- 1;")) == [-1]
 
     def test_reversal_of_both_strands(self):
         for k in ("x+", "x-"):
-            up = crossing_signs(parse(f"bottom 2 up up; {k} 1;"))[0]
-            down = crossing_signs(parse(f"bottom 2 down down; {k} 1;"))[0]
-            assert up.sign == down.sign
+            up = signs(parse(f"bottom 2 up up; {k} 1;"))
+            down = signs(parse(f"bottom 2 down down; {k} 1;"))
+            assert up == down
 
     def test_antiparallel_signs(self):
-        assert crossing_signs(parse("bottom 2 up down; x+ 1;"))[0].sign == -1
-        assert crossing_signs(parse("bottom 2 up down; x- 1;"))[0].sign == 1
+        assert signs(parse("bottom 2 up down; x+ 1;")) == [-1]
+        assert signs(parse("bottom 2 up down; x- 1;")) == [1]
 
     def test_component_reversal(self):
         # reversing every strand of the diagram preserves each crossing sign;
         # a kink's self-crossing keeps its sign when its one component reverses
         w = parse("bottom 1 up; cup 2 cw; x+ 1; cap 2;")
         r = parse("bottom 1 down; cup 2 ccw; x+ 1; cap 2;")
-        assert [c.sign for c in crossing_signs(w)] == \
-               [c.sign for c in crossing_signs(r)]
+        assert signs(w) == signs(r)
 
     def test_writhe(self):
         assert writhe(braid_to_tangle([1, 1, 1], 2)) == 3
@@ -174,12 +176,12 @@ class TestBraids:
         w = braid_to_tangle([1, 1, 1], 2)
         assert w.endpoint_count == 2
         assert w.crossing_count() == 3
-        assert [c.sign for c in crossing_signs(w)] == [1, 1, 1]
+        assert signs(w) == [1, 1, 1]
 
     def test_figure_eight_structure(self):
         w = braid_to_tangle([1, -2, 1, -2], 3)
         assert w.endpoint_count == 2
-        assert [c.sign for c in crossing_signs(w)] == [1, -1, 1, -1]
+        assert signs(w) == [1, -1, 1, -1]
 
     def test_bad_generator(self):
         with pytest.raises(ValueError):
