@@ -9,8 +9,9 @@ Commands:
   check      run the identity suite of tanglex.checks (tables, dotted
              equivalence, R1/R2/R3, skein, negligibility, Gram matrices),
              --dims dimension counts, and a chained move-invariance walk of
-             --fuzz moves (default 25).  A failed identity, or a consistency
-             error the library raises while checking, is a FAIL row.
+             --fuzz moves (default 25).  A failed identity, or a
+             ConsistencyError the library raises while checking, is a FAIL
+             row.
 
 Exit codes: 0 ok, 1 check-suite failure, 2 bad input, 3 evaluator mismatch,
 4 oracle mismatch.
@@ -22,6 +23,7 @@ import argparse
 import json
 import sys
 
+from .diagram import ConsistencyError
 from .tangle import MorseWord, TangleError, braid_to_tangle, parse
 from .invariant import (EvaluatorMismatchError, alexander_polynomial,
                         tangle_invariant)
@@ -127,9 +129,7 @@ def cmd_check(args) -> int:
         try:
             rows.append({"name": name, "ok": True, "detail": fn()})
         except (checks.CheckFailed, EvaluatorMismatchError,
-                AssertionError) as exc:
-            # AssertionError is what the library's own consistency checks
-            # (state counts, dotted classes, cap gaps) raise
+                ConsistencyError) as exc:
             failures += 1
             rows.append({"name": name, "ok": False, "detail": str(exc)})
     if args.format == "json":

@@ -12,6 +12,21 @@ Two table forms are kept: the 7-term undotted form and the equivalent 5-term
 dotted form.  ``evaluate_naive`` expands with the 7-term tables and reduces
 each state inside the diagram space.
 
+A naive state is a partial diagram below a cut: for each cut position, the
+far end of its strand (another cut position, a bottom point, or an interior
+vertex) and the strand's dot, plus the chords and ticks already closed off
+among the bottom points.  A slice rewrites it locally.  Each corner of the
+piece has one end on the state side (the far end of a consumed strand, or
+the new cut position of a produced corner) and meets exactly one chord or
+tick of the term, so every chord joins two ends and every tick joins an end
+to an interior vertex, and the joined strand is written back at its two
+ends.  When the consumed pair is one strand, it either closes into a loop
+with the term's chord (0, 1) (dotted: factor -1; undotted: killed) or links
+the two other ends of its corners' term elements.  A dotted strand that
+reaches an interior vertex is killed.  Identical states are merged after
+every slice, and each state's coefficient is multiplied once per distinct
+table coefficient.
+
 ``evaluate_dp`` composes slice by slice in the quotient space, carrying
 coordinates in the canonical dotted basis: at most 2^(width+bottom-1) keys
 per cut.  A key is an int with bit i-1 set for each boundary point i of its
@@ -49,7 +64,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, ONE, ZERO
-from .diagram import ClassVector, DiagramVector, FlatDiagram, dotted_class
+from .diagram import (ClassVector, ConsistencyError, DiagramVector,
+                      FlatDiagram, dotted_class)
 from .tangle import (CAP, CUP, OVER, UNDER, EndpointCountError, MorseWord,
                      analyze)
 
@@ -128,7 +144,7 @@ def base_tables() -> ExpansionTable:
 
 
 # ---------------------------------------------------------------------------
-# generic application of a local piece to a partial-diagram state
+# one local piece applied to a partial-diagram state
 #
 # A state is (ends, done):
 #   ends[p]  for cut position p (0-based): ('c', partner_position, dot)
@@ -141,149 +157,76 @@ _CUP_TERMS_DOTTED = (_term(ONE, [(2, 3, True)], []),
                      _term(ONE, [], [2, 3]))
 _CAP_TERM = (_term(ONE, [(0, 1, False)], []),)
 
+_INTERIOR = ("t", None, False)
+
 
 def _apply_piece(ends, done, where, term, consumed, produced):
     """Apply one local picture.  ``where`` is the 0-based position of the
-    piece's left corner.  Returns (factor, ends', done') or None if killed."""
-    ends = list(ends)
-    done = set(done)
-    factor = 1
+    piece's left corner.  Returns (factor, ends', done') or None if killed.
 
+    The rewrite is the one the module docstring describes.  A corner's
+    state-side end is written like an entry of ``ends``; a produced corner's
+    is ('c', its own new cut position, False), so a join writes a new cut
+    position the same way as an old one."""
+    ends = list(ends)
     if produced and not consumed:          # cup: make room first
         for i, e in enumerate(ends):
             if e[0] == "c" and e[1] >= where:
                 ends[i] = ("c", e[1] + 2, e[2])
         ends[where:where] = [None, None]
-    corner_pos = {}
+    # the state-side end of each corner; corners 2, 3 are read only when
+    # the piece produces them
+    side = [None, None, ("c", where + 1, False), ("c", where, False)]
+    loop = None
     if consumed:
-        corner_pos[0], corner_pos[1] = where, where + 1
-    if produced:
-        corner_pos[3], corner_pos[2] = where, where + 1
-
-    # build the little strand graph on the piece's corners
-    edges = []
-    marker = [0]
-
-    def interior():
-        marker[0] += 1
-        return ("i", marker[0])
-
-    if consumed:
-        a, b = ends[where], ends[where + 1]
+        a = ends[where]
         if a[0] == "c" and a[1] == where + 1:
-            edges.append((("k", 0), ("k", 1), a[2]))
+            loop = a[2]                    # corners 0, 1 end one strand
         else:
-            for corner, e in ((0, a), (1, b)):
-                if e[0] == "c":
-                    far = ("c", e[1])
-                elif e[0] == "b":
-                    far = ("b", e[1])
-                else:
-                    far = interior()
-                edges.append((("k", corner), far, e[2]))
-    for u, v, dot in term.chords:
-        edges.append((("k", u), ("k", v), dot))
-    for c in term.ticks:
-        edges.append((("k", c), interior(), False))
-
-    # trace composite strands
-    adj = {}
-    for idx, (x, y, _) in enumerate(edges):
-        adj.setdefault(x, []).append(idx)
-        adj.setdefault(y, []).append(idx)
-    results = []   # (end_x, end_y, dot) with ends outside the piece
-    used = [False] * len(edges)
-    for start in list(adj):
-        if len(adj[start]) != 1:
-            continue  # walk only from path ends
-        first = adj[start][0]
-        if used[first]:
-            continue
-        node, dot = start, False
-        while True:
-            nxt = None
-            for idx in adj[node]:
-                if not used[idx]:
-                    nxt = idx
-                    break
-            if nxt is None:
-                break
-            used[nxt] = True
-            x, y, d = edges[nxt]
-            dot = dot or d
-            node = y if x == node else x
-        results.append((start, node, dot))
-    for idx, (x, y, d) in enumerate(edges):
-        if not used[idx]:     # leftover cycles through corners 0,1
-            used[idx] = True
-            dot = d
-            node = y
-            while node != x:
-                nxt = next(i for i in adj[node] if not used[i])
-                used[nxt] = True
-                xx, yy, dd = edges[nxt]
-                dot = dot or dd
-                node = yy if xx == node else xx
-            if not dot:
+            side[0], side[1] = a, ends[where + 1]
+    joins = [(side[u], side[v], dot) for u, v, dot in term.chords]
+    joins += [(side[c], _INTERIOR, False) for c in term.ticks]
+    factor = 1
+    if loop is not None:
+        merged = [j for j in joins if j[0] is None or j[1] is None]
+        joins = [j for j in joins if j[0] is not None and j[1] is not None]
+        if len(merged) == 1:               # the chord (0, 1): a closed loop
+            if not (loop or merged[0][2]):
                 return None
-            factor = -factor
-
-    # install the traced strands back into the state
-    new_ports = {}
-
-    def classify(endpoint):
-        if endpoint[0] == "k":
-            return ("port", corner_pos[endpoint[1]])
-        if endpoint[0] == "i":
-            return ("interior", None)
-        return endpoint  # ('c', pos) or ('b', pt)
-
-    for x, y, dot in results:
-        cx, cy = classify(x), classify(y)
-        kinds = {cx[0], cy[0]}
-        if dot and "interior" in kinds:
-            return None
-        if cx[0] == "interior" and cy[0] == "interior":
-            continue
-        if cx[0] == "interior":
-            cx, cy = cy, cx
-        if cy[0] == "interior":
-            if cx[0] == "port":
-                new_ports[cx[1]] = ("t", None, dot)
-            elif cx[0] == "b":
-                done.add(("tick", cx[1]))
-            else:
-                ends[cx[1]] = ("t", None, dot)
-        elif cx[0] == "port" and cy[0] == "port":
-            new_ports[cx[1]] = ("c", cy[1], dot)
-            new_ports[cy[1]] = ("c", cx[1], dot)
-        elif cx[0] == "port" or cy[0] == "port":
-            if cy[0] == "port":
-                cx, cy = cy, cx
-            new_ports[cx[1]] = (cy[0], cy[1], dot)
-            if cy[0] == "c":
-                ends[cy[1]] = ("c", cx[1], dot)
-        elif cx[0] == "b" and cy[0] == "b":
-            i, j = min(cx[1], cy[1]), max(cx[1], cy[1])
-            done.add(("chord", i, j, dot))
-        elif cx[0] == "c" and cy[0] == "c":
-            ends[cx[1]] = ("c", cy[1], dot)
-            ends[cy[1]] = ("c", cx[1], dot)
+            factor = -1
         else:
-            if cx[0] == "b":
-                cx, cy = cy, cx
-            ends[cx[1]] = ("b", cy[1], dot)
-
-    for pos, entry in new_ports.items():
-        ends[pos] = entry
+            (x, y, d), (u, v, e) = merged
+            joins.append((y if x is None else x, v if u is None else u,
+                          loop or d or e))
+    added = []
+    for x, y, dot in joins:
+        dot = dot or x[2] or y[2]
+        if y[0] == "t":
+            x, y = y, x
+        if x[0] == "t":                    # a path to an interior vertex
+            if dot:
+                return None
+            if y[0] == "b":
+                added.append(("tick", y[1]))
+            elif y[0] == "c":
+                ends[y[1]] = _INTERIOR
+        elif x[0] == "b" and y[0] == "b":
+            added.append(("chord", min(x[1], y[1]), max(x[1], y[1]), dot))
+        else:
+            if x[0] == "b":
+                x, y = y, x
+            ends[x[1]] = (y[0], y[1], dot)
+            if y[0] == "c":
+                ends[y[1]] = ("c", x[1], dot)
     if consumed and not produced:          # cap: close the gap
         del ends[where:where + 2]
         for i, e in enumerate(ends):
-            if e[0] == "c" and e[1] in (where, where + 1):
-                raise AssertionError("cap left a strand ending in its gap")
-            if e[0] == "c" and e[1] > where + 1:
+            if e[0] == "c" and e[1] >= where:
+                if e[1] <= where + 1:
+                    raise ConsistencyError(
+                        "cap left a strand ending in its gap")
                 ends[i] = ("c", e[1] - 2, e[2])
-    return factor, tuple(ends), frozenset(done)
+    return factor, tuple(ends), done.union(added) if added else done
 
 
 def _finalize(ends, done, bottom_count: int) -> FlatDiagram:
@@ -345,15 +288,20 @@ def expand_states(word: MorseWord, dotted: bool = False):
             terms = tables[(info.sign, info.rot)]
             consumed = produced = True
         where = sl.pos - 1
+        # a state's coefficient is multiplied once per distinct table
+        # coefficient (4 of them in a 7-term table, 1 for a cup or cap)
+        coeffs = list(dict.fromkeys(term.coeff for term in terms))
+        slots = [(term, coeffs.index(term.coeff)) for term in terms]
         new = {}
         for (ends, done), (coeff, count) in states.items():
-            for term in terms:
+            prods = [coeff * c for c in coeffs]
+            for term, slot in slots:
                 res = _apply_piece(ends, done, where, term, consumed, produced)
                 if res is None:
                     killed += count * after
                     continue
                 factor, e2, d2 = res
-                c = coeff * term.coeff
+                c = prods[slot]
                 if factor < 0:
                     c = -c
                 key = (e2, d2)
@@ -370,7 +318,7 @@ def expand_states(word: MorseWord, dotted: bool = False):
             vec.add_term(_finalize(ends, done, k), coeff)
     expected = branch ** word.crossing_count()
     if total != expected:
-        raise AssertionError(f"state count {total} != {expected}")
+        raise ConsistencyError(f"state count {total} != {expected}")
     return vec, total
 
 
@@ -417,7 +365,7 @@ def _local_table(terms, consumed, produced):
             sign, subset = dotted_class(_finalize(e2, d2, k))
             bits = sum(1 << (p - 1) for p in subset)
             if consumed and bits & 1 != loc.bit_count() & 1:
-                raise AssertionError("slice transition moved a spectator")
+                raise ConsistencyError("slice transition moved a spectator")
             out = bits >> k
             coeff = term.coeff if factor * sign > 0 else -term.coeff
             acc[out] = acc.get(out, ZERO) + coeff
@@ -572,6 +520,6 @@ def delta_from_class(cv: ClassVector) -> LaurentPoly:
         raise EndpointCountError("expected a 2-endpoint class vector")
     lam = cv[(1, 2)]
     if lam != cv[()]:
-        raise AssertionError(
+        raise ConsistencyError(
             "inconsistent quotient coordinates: not a tangle image")
     return lam

@@ -20,6 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .diagram import ConsistencyError
+
 
 class TangleError(Exception):
     pass
@@ -373,7 +375,7 @@ def turning_number(word: MorseWord) -> int:
         else:
             total += 1 if port_dir[b] == 1 else -1
     if total % 2:
-        raise AssertionError("half-turn count of closed loops must be even")
+        raise ConsistencyError("half-turn count of closed loops must be even")
     return total // 2
 
 

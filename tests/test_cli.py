@@ -13,7 +13,7 @@ from tanglex import checks
 from tanglex.cli import main
 from tanglex.invariant import EvaluatorMismatchError
 from tanglex.laurent import LaurentPoly
-from tanglex.diagram import ClassVector
+from tanglex.diagram import ClassVector, ConsistencyError
 
 
 def run(capsys, *argv):
@@ -119,7 +119,7 @@ class TestCheckCommand:
 
 class TestCheckFailures:
     @pytest.mark.parametrize("error", [
-        AssertionError("state count 1 != 343"),
+        ConsistencyError("state count 1 != 343"),
         EvaluatorMismatchError("dp and naive class vectors differ"),
         checks.CheckFailed("R3 sides differ in the diagram space"),
     ])
@@ -129,6 +129,13 @@ class TestCheckFailures:
         assert code == 1
         assert f"FAIL reidemeister-3: {error}" in out.splitlines()
         assert sum(line.startswith("PASS") for line in out.splitlines()) == 8
+
+    def test_other_assertion_errors_propagate(self, capsys):
+        # only the library's own ConsistencyError is a FAIL row
+        with mock.patch.object(checks, "expand_states",
+                               side_effect=AssertionError("not ours")):
+            with pytest.raises(AssertionError, match="not ours"):
+                run(capsys, "check")
 
     def test_broken_gram_fails_under_optimize(self):
         # python -O strips assert statements; the suite must still fail

@@ -16,7 +16,7 @@ from tanglex import (checks, cli, diagram, invariant, laurent, oracle,
                      statesum, tangle)
 from tanglex.laurent import LaurentPoly, ONE
 from tanglex.diagram import (DiagramVector, FlatDiagram, canonical_rep,
-                             coordinates, saddle_element)
+                             coordinates, inner_product, saddle_element)
 from tanglex.invariant import alexander_polynomial
 from tanglex.oracle import alexander_via_burau, closure_components
 from tanglex.tangle import (EndpointCountError, braid_to_tangle, parse,
@@ -199,11 +199,12 @@ class TestDp:
 
 
 @st.composite
-def morse_words(draw, max_bottom=3, max_width=7, max_crossings=6):
+def morse_words(draw, max_bottom=3, max_width=7, max_crossings=6,
+                min_bottom=0):
     """Valid oriented words with at most max_crossings crossings and every
     cut no wider than max_width, closed down by caps where the strand
     directions allow."""
-    bottom = draw(st.integers(0, max_bottom))
+    bottom = draw(st.integers(min_bottom, max_bottom))
     dirs = draw(st.lists(st.sampled_from((1, -1)), min_size=bottom,
                          max_size=bottom))
     name = {1: "up", -1: "down"}
@@ -280,6 +281,200 @@ class TestKernel:
         assume(closure_components(word, n) == 1)
         res = alexander_polynomial(braid_to_tangle(word, n))
         assert res.alexander == alexander_via_burau(word, n), (word, n)
+
+
+class TestApplyPiece:
+    """The local rewrite of one piece, on the cases it handles specially."""
+
+    CAP = statesum._CAP_TERM[0]
+    # a cap-cup picture on a crossing's corners: chord (0, 1) below, (2, 3)
+    # above
+    CAP_CUP = statesum._term(ONE, [(0, 1, False), (2, 3, False)], [])
+    ALL_TICKS = statesum._term(ONE, [], [0, 1, 2, 3])
+
+    @staticmethod
+    def apply(ends, term, where=0, consumed=True, produced=True,
+              done=frozenset()):
+        return statesum._apply_piece(tuple(ends), done, where, term,
+                                     consumed, produced)
+
+    @pytest.mark.parametrize("dot", [True, False])
+    def test_one_strand_closed_by_a_cap(self, dot):
+        # cut positions 0 and 1 are the two ends of one strand, beside a
+        # strand from bottom point 1 to position 2
+        ends = [("c", 1, dot), ("c", 0, dot), ("b", 1, False)]
+        res = self.apply(ends, self.CAP, produced=False)
+        if dot:
+            assert res == (-1, (("b", 1, False),), frozenset())
+        else:
+            assert res is None
+
+    @pytest.mark.parametrize("dot", [True, False])
+    def test_one_strand_closed_at_a_crossing(self, dot):
+        ends = [("b", 1, False), ("c", 2, dot), ("c", 1, dot)]
+        res = self.apply(ends, self.CAP_CUP, where=1)
+        if dot:
+            assert res == (-1, (("b", 1, False), ("c", 2, False),
+                                ("c", 1, False)), frozenset())
+        else:
+            assert res is None
+
+    def test_dotted_chord_closes_an_undotted_strand(self):
+        term = statesum._term(ONE, [(0, 1, True), (2, 3, False)], [])
+        res = self.apply([("c", 1, False), ("c", 0, False)], term)
+        assert res == (-1, (("c", 1, False), ("c", 0, False)), frozenset())
+
+    def test_one_strand_becomes_a_path(self):
+        # the strand's two term chords join it to the two new ports; the
+        # dot of the strand stays on the path
+        term = statesum._term(ONE, [(0, 2, False), (1, 3, False)], [])
+        res = self.apply([("c", 1, True), ("c", 0, True)], term)
+        assert res == (1, (("c", 1, True), ("c", 0, True)), frozenset())
+        # ticked at both corners it is a path between two interior
+        # vertices: deleted when undotted, killed when dotted
+        res = self.apply([("c", 1, False), ("c", 0, False)], self.ALL_TICKS)
+        assert res == (1, (("t", None, False), ("t", None, False)),
+                       frozenset())
+        assert self.apply([("c", 1, True), ("c", 0, True)],
+                          self.ALL_TICKS) is None
+
+    def test_dotted_strand_ending_at_a_tick_is_killed(self):
+        # a dotted strand from bottom point 1 ticked at corner 0
+        assert self.apply([("b", 1, True), ("b", 2, False)],
+                          self.ALL_TICKS) is None
+        # undotted, the ticks land on the bottom points
+        res = self.apply([("b", 1, False), ("b", 2, False)], self.ALL_TICKS)
+        assert res == (1, (("t", None, False), ("t", None, False)),
+                       frozenset({("tick", 1), ("tick", 2)}))
+        # a dotted term chord from a new port to an interior vertex
+        term = statesum._term(ONE, [(0, 3, True)], [1, 2])
+        assert self.apply([("t", None, False), ("b", 1, False)],
+                          term) is None
+
+    def test_cup_shifts_partners_from_where_by_two(self):
+        # positions 0 and 2 are joined; position 1 runs to bottom point 1
+        ends = [("c", 2, False), ("b", 1, False), ("c", 0, False)]
+        cup = statesum._CUP_TERM_PLAIN[0]
+        res = self.apply(ends, cup, where=2, consumed=False)
+        assert res == (1, (("c", 4, False), ("b", 1, False),
+                           ("c", 3, False), ("c", 2, False),
+                           ("c", 0, False)), frozenset())
+        res = self.apply(ends, cup, where=0, consumed=False)
+        assert res == (1, (("c", 1, False), ("c", 0, False),
+                           ("c", 4, False), ("b", 1, False),
+                           ("c", 2, False)), frozenset())
+
+    def test_cap_joins_two_strands(self):
+        ends = [("b", 1, False), ("c", 3, True), ("b", 2, False),
+                ("c", 1, True)]
+        res = self.apply(ends, self.CAP, where=1, produced=False)
+        assert res == (1, (("b", 1, False), ("b", 2, True)), frozenset())
+        res = self.apply(ends, self.CAP, where=0, produced=False)
+        assert res == (1, (("b", 2, False), ("b", 1, True)), frozenset())
+        res = self.apply([("b", 1, True), ("b", 2, False)], self.CAP,
+                         produced=False, done=frozenset({("tick", 3)}))
+        assert res == (1, (), frozenset({("tick", 3),
+                                         ("chord", 1, 2, True)}))
+
+    def test_inconsistent_state_raises(self):
+        # position 2 names position 0 as its partner, which runs to bottom
+        # point 1 instead: the cap leaves it pointing into the gap
+        ends = [("b", 1, False), ("b", 2, False), ("c", 0, False)]
+        with pytest.raises(tanglex.ConsistencyError):
+            self.apply(ends, self.CAP, produced=False)
+
+
+def reference_coordinates(v):
+    """c_S = (-1)^(|S|/2) <v, canonical_rep(S)> over every even subset."""
+    n = v.boundary_count
+    out = tanglex.ClassVector(n)
+    for s in diagram.even_subsets(n):
+        rep = canonical_rep(s, n)
+        total = inner_product(v, DiagramVector.single(rep))
+        out.add(s, total if len(s) % 4 == 0 else -total)
+    return out
+
+
+@st.composite
+def diagram_vectors(draw, max_n=8, max_terms=5):
+    """Sums of diagrams on n <= max_n points with dotted chords, undotted
+    chords and ticks, and small Laurent coefficients."""
+    n = draw(st.integers(0, max_n))
+    basis = diagram.enumerate_basis(n)
+    v = DiagramVector(n)
+    for _ in range(draw(st.integers(1, max_terms))):
+        d = draw(st.sampled_from(basis))
+        dots = draw(st.lists(st.booleans(), min_size=len(d.chords),
+                             max_size=len(d.chords)))
+        d = fd(n, [(i, j, dot) for (i, j, _), dot
+                   in zip(sorted(d.chords), dots)], d.ticks)
+        coeff = LaurentPoly({draw(st.integers(-2, 2)):
+                             draw(st.sampled_from((-2, -1, 1, 3)))})
+        v.add_term(d, coeff)
+    return v
+
+
+class TestSparseCoordinates:
+    """coordinates pairs each term only with the subsets it can pair to
+    nonzero; the exhaustive pairing over all even subsets must agree."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(diagram_vectors())
+    def test_generated_vectors(self, v):
+        assert coordinates(v) == reference_coordinates(v), repr(v)
+
+    @settings(max_examples=80, deadline=None)
+    @given(morse_words(max_bottom=2, max_width=6, max_crossings=5))
+    def test_dotted_expansions(self, w):
+        v = expand_states(w, dotted=True)[0]
+        assert coordinates(v) == reference_coordinates(v), str(w)
+
+
+class TestMoveInvariance:
+    """tangle_invariant is a regular-isotopy invariant: R2 and R3 moves
+    leave the class vector unchanged, on both evaluators."""
+
+    @staticmethod
+    def assert_unchanged(w, move):
+        assert move in tangle.move_sites(w), (str(w), move)
+        moved = tangle.apply_move(w, move)
+        assert (tanglex.tangle_invariant(moved, "both")
+                == tanglex.tangle_invariant(w, "both")), (str(w), move)
+
+    # bottoms of 2 and more give R2 sites at every level and spectators on
+    # both sides of the moved crossings
+    @settings(max_examples=100, deadline=None)
+    @given(morse_words(min_bottom=2, max_width=6, max_crossings=5),
+           st.data())
+    def test_r2(self, w, data):
+        sites = [m for m in tangle.move_sites(w)
+                 if isinstance(m, tangle.R2Move)]
+        self.assert_unchanged(w, data.draw(st.sampled_from(sites),
+                                           label="move"))
+
+    # R3 sites are rare in random words, so one is put in: three crossings
+    # on strands x, x+1, x+2 whose outer strands point the same way, which
+    # leaves the direction of every strand above them as it was
+    @settings(max_examples=60, deadline=None)
+    @given(morse_words(min_bottom=3, max_width=6, max_crossings=3),
+           st.data())
+    def test_r3(self, w, data):
+        an = tangle.analyze(w)
+        spots = [(t, x) for t, wires in enumerate(an.levels)
+                 for x in range(len(wires) - 2)
+                 if an.wire_dir[wires[x]] == an.wire_dir[wires[x + 2]]]
+        assume(spots)
+        t, x = data.draw(st.sampled_from(spots), label="spot")
+        kinds = data.draw(st.sampled_from(sorted(tangle.VALID_R3_TRIPLES)),
+                          label="kinds")
+        outer, middle = data.draw(st.sampled_from(
+            ((x + 1, x + 2), (x + 2, x + 1))), label="positions")
+        triple = [tangle.Slice(k, p)
+                  for k, p in zip(kinds, (outer, middle, outer))]
+        w3 = tangle.MorseWord(w.bottom_count,
+                              w.slices[:t] + tuple(triple) + w.slices[t:],
+                              w.bottom_orientations, w.cup_orientations)
+        self.assert_unchanged(w3, tangle.R3Move(t))
 
 
 class TestPacking:
