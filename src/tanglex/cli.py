@@ -14,7 +14,8 @@ Commands:
              row.
 
 Exit codes: 0 ok, 1 check-suite failure, 2 bad input, 3 evaluator mismatch,
-4 oracle mismatch.
+4 oracle mismatch, 5 internal error (alexander or vector: a ConsistencyError
+the library raised while evaluating).
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .invariant import (EvaluatorMismatchError, alexander_polynomial,
                         tangle_invariant)
 from . import oracle as oracle_mod
 
-OK, FAIL, BAD_INPUT, EVAL_MISMATCH, ORACLE_MISMATCH = 0, 1, 2, 3, 4
+(OK, FAIL, BAD_INPUT, EVAL_MISMATCH, ORACLE_MISMATCH,
+ INTERNAL_ERROR) = 0, 1, 2, 3, 4, 5
 
 
 def _load_word(args) -> MorseWord:
@@ -58,6 +60,9 @@ def cmd_alexander(args) -> int:
     except EvaluatorMismatchError as exc:
         print(f"evaluator mismatch: {exc}", file=sys.stderr)
         return EVAL_MISMATCH
+    except ConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     except TangleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
@@ -104,6 +109,9 @@ def cmd_vector(args) -> int:
     except EvaluatorMismatchError as exc:
         print(f"evaluator mismatch: {exc}", file=sys.stderr)
         return EVAL_MISMATCH
+    except ConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     except (TangleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT

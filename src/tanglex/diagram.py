@@ -19,7 +19,7 @@ one dot, so a single boolean per chord suffices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .laurent import LaurentPoly, ONE, ZERO
 
@@ -39,8 +39,7 @@ def _crossing_pair(a, b, c, d):
     return (a < c < b < d) or (c < a < d < b)
 
 
-@dataclass(frozen=True)
-class FlatDiagram:
+class FlatDiagram(NamedTuple):
     """A crossingless diagram: noncrossing (optionally dotted) chords plus ticks."""
 
     boundary_count: int

@@ -11,7 +11,7 @@ than two endpoints would be an arbitrary choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .laurent import LaurentPoly
 from .diagram import ClassVector, FlatDiagram, canonical_rep, coordinates, inner_product
@@ -30,17 +30,26 @@ def minus_q_power(k: int) -> LaurentPoly:
     return LaurentPoly.monomial(-1 if k % 2 else 1, k)
 
 
-@dataclass(frozen=True)
-class NormalizedResult:
+class _NormalizedFields(NamedTuple):
     delta: LaurentPoly
     tau: int
     alexander: LaurentPoly
 
-    def __post_init__(self):
-        if self.alexander * minus_q_power(self.tau) != self.delta:
+
+class NormalizedResult(_NormalizedFields):
+    __slots__ = ()
+
+    def __new__(cls, delta, tau, alexander):
+        if alexander * minus_q_power(tau) != delta:
             raise ValueError(
-                f"alexander {self.alexander} times (-q)^{self.tau} is not "
-                f"delta {self.delta}")
+                f"alexander {alexander} times (-q)^{tau} is not "
+                f"delta {delta}")
+        return super().__new__(cls, delta, tau, alexander)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: route it through the check
+        return cls(*iterable)
 
 
 def _delta_naive_checked(word: MorseWord) -> LaurentPoly:

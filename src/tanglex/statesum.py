@@ -59,7 +59,6 @@ are the independent checks of the dp, so they share none of its packing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -74,8 +73,7 @@ _QI = LaurentPoly.q_power(-1)
 _Z = _Q - _QI          # q - q^-1
 
 
-@dataclass(frozen=True)
-class TableTerm:
+class TableTerm(NamedTuple):
     coeff: LaurentPoly
     chords: tuple     # ((corner, corner, dotted), ...)
     ticks: frozenset  # of corners

@@ -18,7 +18,7 @@ reverse.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import ConsistencyError
 
@@ -51,24 +51,34 @@ CUP, CAP, OVER, UNDER = "cup", "cap", "over", "under"
 _CROSSINGS = (OVER, UNDER)
 
 
-@dataclass(frozen=True)
-class Slice:
+class Slice(NamedTuple):
     kind: str
     pos: int
 
 
-@dataclass(frozen=True)
-class MorseWord:
-    """An oriented tangle diagram as a validated slice word."""
-
+class _MorseFields(NamedTuple):
     bottom_count: int
     slices: tuple
     bottom_orientations: tuple  # 'up' / 'down' per bottom endpoint
     cup_orientations: tuple     # 'cw' / 'ccw' per cup slice, in slice order
 
-    def __post_init__(self):
-        # validates widths and orientations; analyze(self) returns the result
-        object.__setattr__(self, "_analysis", _analyze(self))
+
+class MorseWord(_MorseFields):
+    """An oriented tangle diagram as a validated slice word."""
+
+    def __new__(cls, bottom_count, slices, bottom_orientations,
+                cup_orientations):
+        self = super().__new__(cls, bottom_count, slices,
+                               bottom_orientations, cup_orientations)
+        # validates widths and orientations; analyze(self) returns the result,
+        # kept in the instance dict (this subclass declares no __slots__)
+        self._analysis = _analyze(self)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: route it through the check
+        return cls(*iterable)
 
     @property
     def top_count(self) -> int:
@@ -101,8 +111,7 @@ class _Analysis:
         self.bottom_dirs = bottom_dirs
 
 
-@dataclass(frozen=True)
-class CrossingInfo:
+class CrossingInfo(NamedTuple):
     slice_index: int
     pos: int
     kind: str
@@ -402,23 +411,20 @@ def braid_to_tangle(word, strands: int) -> MorseWord:
 # Reidemeister moves
 
 
-@dataclass(frozen=True)
-class R1Move:
+class R1Move(NamedTuple):
     slice_index: int
     position: int
     side: str       # 'left' | 'right': which side the curl bulges to
     crossing: str   # 'over' | 'under'
 
 
-@dataclass(frozen=True)
-class R2Move:
+class R2Move(NamedTuple):
     slice_index: int
     position: int
     first: str      # kind of the lower inserted crossing: 'over' | 'under'
 
 
-@dataclass(frozen=True)
-class R3Move:
+class R3Move(NamedTuple):
     slice_index: int  # start of three consecutive crossing slices
 
 

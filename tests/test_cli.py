@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 import tanglex
-from tanglex import checks
+from tanglex import checks, diagram, statesum
 from tanglex.cli import main
 from tanglex.invariant import EvaluatorMismatchError
 from tanglex.laurent import LaurentPoly
@@ -152,6 +152,41 @@ class TestCheckFailures:
         assert out.returncode == 1, out.stderr
         assert any(line.startswith("FAIL gram")
                    for line in out.stdout.splitlines())
+
+
+class TestInternalErrors:
+    @pytest.fixture
+    def broken_pairing(self):
+        # the kernel tables are cached: derive them again under the patch,
+        # and once more after it
+        statesum._kernel_tables.cache_clear()
+        try:
+            with mock.patch.object(diagram, "glue_evaluate", return_value=7):
+                yield
+        finally:
+            statesum._kernel_tables.cache_clear()
+
+    @pytest.mark.parametrize("argv", [
+        ("alexander", "--braid", "1 1 1", "--strands", "2"),
+        ("vector", "--text", "bottom 2 up up; x+ 1;"),
+    ])
+    def test_consistency_error_exit_5(self, capsys, broken_pairing, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 5 and out == ""
+        assert err.startswith("internal error: ")
+        assert len(err.splitlines()) == 1
+
+
+def test_import_loads_no_dataclasses():
+    # -S keeps site hooks from importing modules of their own
+    code = ("import sys, tanglex, tanglex.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(tanglex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 class TestInputHandling:

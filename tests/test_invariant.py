@@ -9,9 +9,11 @@ import pytest
 
 import tanglex
 from tanglex.laurent import LaurentPoly, ONE
-from tanglex.tangle import (EndpointCountError, R1Move, apply_move,
-                            braid_to_tangle, move_sites, parse, random_move,
-                            random_word)
+from tanglex.diagram import FlatDiagram
+from tanglex.statesum import base_tables
+from tanglex.tangle import (EndpointCountError, R1Move, R2Move, R3Move, Slice,
+                            analyze, apply_move, braid_to_tangle, move_sites,
+                            parse, random_move, random_word)
 from tanglex.invariant import (NormalizedResult, alexander_polynomial,
                                minus_q_power, skein_triple_check,
                                tangle_invariant, with_crossing,
@@ -65,6 +67,11 @@ class TestAlexander:
         env = dict(os.environ, PYTHONPATH=src)
         r = subprocess.run([sys.executable, "-O", "-c", code], env=env)
         assert r.returncode == 0
+
+    def test_replace_revalidates_result(self):
+        res = alexander_polynomial(braid([1, 1, 1], 2))
+        with pytest.raises(ValueError):
+            res._replace(tau=res.tau + 1)
 
     def test_requires_two_endpoints(self):
         with pytest.raises(EndpointCountError):
@@ -205,3 +212,21 @@ class TestKnotNormalization:
             ours = alexander_polynomial(braid(word, strands)).alexander
             assert ours == alexander_via_burau(word, strands), word
             done += 1
+
+
+class TestRecords:
+    @pytest.mark.parametrize("make, field", [
+        (lambda: Slice("cup", 2), "pos"),
+        (lambda: parse("bottom 1 up;"), "slices"),
+        (lambda: analyze(parse("bottom 2 up up; x+ 1;")).crossings[0], "sign"),
+        (lambda: R1Move(0, 1, "left", "over"), "side"),
+        (lambda: R2Move(0, 1, "over"), "first"),
+        (lambda: R3Move(0), "slice_index"),
+        (lambda: FlatDiagram.make(2, [(1, 2, True)]), "chords"),
+        (lambda: base_tables().five[(1, 0)][0], "coeff"),
+        (lambda: alexander_polynomial(parse("bottom 1 up;")), "tau"),
+    ])
+    def test_fields_are_read_only(self, make, field):
+        record = make()
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))

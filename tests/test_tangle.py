@@ -245,3 +245,25 @@ class TestMoves:
                 assert delta == {CUP: 2, CAP: -2}.get(s.kind, 0)
                 total += delta
             assert total == widths[-1] == w.top_count
+
+
+class TestRecords:
+    def test_slice_repr(self):
+        assert repr(Slice("cup", 2)) == "Slice(kind='cup', pos=2)"
+
+    def test_replace_revalidates_word(self):
+        w = parse("bottom 2 up down; cap 1;")
+        bad = (Slice(CAP, 2),)
+        with pytest.raises(WidthError):
+            MorseWord(2, bad, ("up", "down"), ())
+        with pytest.raises(WidthError):
+            w._replace(slices=bad)
+
+    def test_replace_matches_fresh_word(self):
+        w = parse("bottom 2 up down; cap 1;")
+        slices = (Slice(OVER, 1), Slice(CAP, 1))
+        got = w._replace(slices=slices)
+        fresh = MorseWord(2, slices, ("up", "down"), ())
+        assert type(got) is MorseWord and got == fresh
+        a, b = analyze(got), analyze(fresh)
+        assert all(getattr(a, f) == getattr(b, f) for f in a.__slots__)
