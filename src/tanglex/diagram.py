@@ -39,12 +39,26 @@ def _crossing_pair(a, b, c, d):
     return (a < c < b < d) or (c < a < d < b)
 
 
-class FlatDiagram(NamedTuple):
-    """A crossingless diagram: noncrossing (optionally dotted) chords plus ticks."""
-
+class _FlatFields(NamedTuple):
     boundary_count: int
     chords: frozenset  # of (i, j, dotted) with i < j
     ticks: frozenset   # of boundary points
+
+
+class FlatDiagram(_FlatFields):
+    """A crossingless diagram: noncrossing (optionally dotted) chords plus ticks."""
+
+    __slots__ = ()
+
+    def __new__(cls, boundary_count, chords, ticks):
+        self = super().__new__(cls, boundary_count, chords, ticks)
+        self.validate()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: route it through the check
+        return cls(*iterable)
 
     @staticmethod
     def make(n, chords=(), ticks=()) -> "FlatDiagram":
@@ -59,14 +73,14 @@ class FlatDiagram(NamedTuple):
             if i > j:
                 i, j = j, i
             norm.add((i, j, bool(dot)))
-        d = FlatDiagram(n, frozenset(norm), frozenset(ticks))
-        d.validate()
-        return d
+        return FlatDiagram(n, frozenset(norm), frozenset(ticks))
 
     def validate(self) -> None:
         n = self.boundary_count
         seen = set()
         for i, j, _ in self.chords:
+            if not i < j:
+                raise ValueError(f"chord ({i},{j}) is not stored as i < j")
             for p in (i, j):
                 if not 1 <= p <= n:
                     raise ValueError(f"boundary point {p} out of range 1..{n}")
@@ -80,7 +94,9 @@ class FlatDiagram(NamedTuple):
                 raise ValueError(f"boundary point {p} used twice")
             seen.add(p)
         if len(seen) != n:
-            raise ValueError("every boundary point needs a chord end or a tick")
+            missing = sorted(set(range(1, n + 1)) - seen)
+            raise ValueError(f"boundary points {missing} have no chord end "
+                             f"or tick")
         cl = sorted(self.chords)
         for x in range(len(cl)):
             a, b, _ = cl[x]

@@ -40,18 +40,26 @@ above the pair.  The local tables are derived from the 5-term tables by
 diagram surgery on a 3-point cut, once, on the first dp evaluation; no
 transition cache is kept.
 
-The dp does no polynomial arithmetic.  Each key's coefficient is carried as
-one int, its value at q = 2^B (Kronecker substitution).  Each table has a
-shift s (minus its lowest exponent: 1 for a crossing, 0 for a cup or cap),
-so every entry times q^s is a polynomial in q, and the kernel carries
-q^(sum of s) * p(q) at q = 2^B.  Each table also has a row L1 norm: the
-largest sum, over one input pair and twist, of the L1 norms of the
-coefficients of a row (3 for a crossing, 2 for a cup, 1 for a cap).  The
-total L1 norm of the state starts at 2^bottom and each slice multiplies it
-at most by its row norm, so every coefficient of the result is bounded by
-M = 2^bottom * prod(row norms).  With B = bitlength(M) + 1, the coefficients
-are the unique balanced base-2^B digits of the int, in [-2^(B-1), 2^(B-1)),
-read once per key at the end, from exponent -(sum of s) upward.
+The dp does no polynomial arithmetic.  Each table has a shift s (minus its
+lowest exponent: 1 for a crossing, 0 for a cup or cap), and every entry
+times q^s is a polynomial in q^2: a crossing entry has only odd exponents,
+a cup or cap entry is a constant.  So q^(sum of s) * p(q) is a polynomial in
+q^2 too, and each key's coefficient is carried as one int, its value at
+q^2 = 2^B (Kronecker substitution); shifted exponent e sits at digit e/2.
+Each table also has a row L1 norm: the largest sum, over one input pair and
+twist, of the L1 norms of the coefficients of a row (3 for a crossing, 2 for
+a cup, 1 for a cap).  The total L1 norm of the state starts at 2^bottom and
+each slice multiplies it at most by its row norm, so every coefficient of
+the result is bounded by M = 2^bottom * prod(row norms).  With
+B = bitlength(M) + 1, the coefficients are the unique balanced base-2^B
+digits of the int, in [-2^(B-1), 2^(B-1)), read once per key at the end,
+from exponent -(sum of s) upward in steps of 2.
+
+A crossing table whose twisted rows equal its plain rows (rot 0 and 2, so
+every braid crossing) is twist-free: the kernel reads no spectator bits for
+it and applies it as nk = key ^ dx over the rows' (dx, c), where
+dx = (input pair ^ output pair) << (lowest bit of the pair).  Cups, caps
+and rot 1/3 crossings keep the twisted loop.
 
 ``expand_states`` and the Burau oracle keep ``LaurentPoly`` arithmetic: they
 are the independent checks of the dp, so they share none of its packing.
@@ -376,17 +384,23 @@ def _local_table(terms, consumed, produced):
 
 
 class _KernelTable(NamedTuple):
-    rows: tuple   # per input pair value: (plain, twisted) (out, coeff) lists
-    shift: int    # q^shift * c has no negative exponent, for every entry c
-    norm: int     # row L1 norm
+    rows: tuple        # per input pair value: (plain, twisted) (out, coeff)
+    shift: int         # q^shift * c is a polynomial in q^2, for every entry c
+    norm: int          # row L1 norm
+    twist_free: bool   # every twisted row equals its plain row
 
 
 def _table_bound(rows):
     """(shift, norm) of a local table: shift = -(lowest exponent of any
     entry), and norm = the largest sum, over one row (input pair value and
-    twist), of the L1 norms of its coefficients."""
+    twist), of the L1 norms of its coefficients.  Every shifted exponent
+    must be even, since the kernel packs at q^2."""
     parts = [part for row in rows for part in row]
     shift = -min(c.min_exp() for part in parts for _, c in part)
+    if any((e + shift) % 2 for part in parts for _, c in part
+           for e, _ in c.terms()):
+        raise ConsistencyError(
+            "a local table entry times q^shift is not a polynomial in q^2")
     norm = max(sum(abs(a) for _, c in part for _, a in c.terms())
                for part in parts)
     return shift, norm
@@ -401,7 +415,9 @@ def _kernel_tables() -> dict:
             for key, terms in base_tables().five.items()}
     rows[CUP] = _local_table(_CUP_TERMS_DOTTED, False, True)
     rows[CAP] = _local_table(_CAP_TERM, True, False)
-    return {key: _KernelTable(r, *_table_bound(r)) for key, r in rows.items()}
+    return {key: _KernelTable(r, *_table_bound(r),
+                              all(plain == twisted for plain, twisted in r))
+            for key, r in rows.items()}
 
 
 def _digit_width(k: int, norms) -> int:
@@ -417,20 +433,21 @@ def _digit_width(k: int, norms) -> int:
 
 
 def _encode(p: LaurentPoly, shift: int, width: int) -> int:
-    """q^shift * p(q) at q = 2^width; shift must clear every negative
-    exponent."""
+    """q^shift * p(q) at q^2 = 2^width; shift must leave every exponent
+    even and nonnegative."""
     v = 0
     for e, a in p.terms():
-        if e + shift < 0:
+        if e + shift < 0 or (e + shift) % 2:
             raise ValueError(f"shift {shift} leaves exponent {e + shift}")
-        v += a << (width * (e + shift))
+        v += a << (width * ((e + shift) >> 1))
     return v
 
 
 def _decode(v: int, width: int, offset: int) -> LaurentPoly:
     """Inverse of _encode: the polynomial whose coefficients are the
     balanced base-2^width digits of v, in [-2^(width-1), 2^(width-1)),
-    with the lowest digit at exponent offset (= -shift)."""
+    with the lowest digit at exponent offset (= -shift) and each next digit
+    2 exponents higher."""
     half = 1 << (width - 1)
     mask = (1 << width) - 1
     coeffs = {}
@@ -440,12 +457,12 @@ def _decode(v: int, width: int, offset: int) -> LaurentPoly:
         if d:
             coeffs[e] = d
         v = (v - d) >> width
-        e += 1
+        e += 2
     return LaurentPoly(coeffs)
 
 
 def _pack(table: _KernelTable, width: int) -> tuple:
-    """The table's rows with each coefficient encoded at q = 2^width."""
+    """The table's rows with each coefficient encoded at q^2 = 2^width."""
     return tuple(tuple(tuple((out, _encode(c, table.shift, width))
                              for out, c in part) for part in row)
                  for row in table.rows)
@@ -488,18 +505,29 @@ def evaluate_dp(word: MorseWord) -> ClassVector:
         state[key] = 1
     for table_key, ib, width_in, width_out in steps:
         table = packed[table_key]
-        low_mask = (1 << ib) - 1
         pair_mask = (1 << width_in) - 1
         new = {}
-        for key, coeff in state.items():
-            low = key & low_mask
-            high = key >> (ib + width_in)
-            rest = low | (high << (ib + width_out))
-            # the twist (-1)^(floor(lo/2) + floor(hi/2)) over the spectators
-            flip = ((low.bit_count() >> 1) + (high.bit_count() >> 1)) & 1
-            for out, c in table[(key >> ib) & pair_mask][flip]:
-                nk = rest | (out << ib)
-                new[nk] = new.get(nk, 0) + coeff * c
+        if tables[table_key].twist_free:
+            # a crossing: the pair is rewritten in place and no spectator is
+            # read (a cup creating 11 or a cap destroying 11 always twists)
+            rows = [tuple(((pair ^ out) << ib, c) for out, c in row[0])
+                    for pair, row in enumerate(table)]
+            for key, coeff in state.items():
+                for dx, c in rows[(key >> ib) & pair_mask]:
+                    nk = key ^ dx
+                    new[nk] = new.get(nk, 0) + coeff * c
+        else:
+            low_mask = (1 << ib) - 1
+            for key, coeff in state.items():
+                low = key & low_mask
+                high = key >> (ib + width_in)
+                rest = low | (high << (ib + width_out))
+                # the twist (-1)^(floor(lo/2) + floor(hi/2)) over the
+                # spectators
+                flip = ((low.bit_count() >> 1) + (high.bit_count() >> 1)) & 1
+                for out, c in table[(key >> ib) & pair_mask][flip]:
+                    nk = rest | (out << ib)
+                    new[nk] = new.get(nk, 0) + coeff * c
         state = {key: c for key, c in new.items() if c}
     n = k + w
     return ClassVector(n, {tuple(i + 1 for i in range(n) if key >> i & 1):

@@ -37,6 +37,34 @@ class TestFlatDiagram:
             fd(2, [(1, 5)])               # out of range
         fd(4, [(1, 3)], [2, 4])           # a lone long chord is planar
 
+    def test_constructor_validates(self):
+        with pytest.raises(ValueError, match=r"\[3, 4\]"):
+            FlatDiagram(4, frozenset({(1, 2, True)}), frozenset())
+        with pytest.raises(ValueError, match="i < j"):
+            FlatDiagram(2, frozenset({(2, 1, False)}), frozenset())
+        d = FlatDiagram(2, frozenset({(1, 2, True)}), frozenset())
+        assert d == DOT2 and type(d) is FlatDiagram
+
+    def test_replace_validates(self):
+        # an unvalidated diagram used to fail later, with a KeyError inside
+        # glue_evaluate
+        with pytest.raises(ValueError, match=r"\[3, 4\]"):
+            DOT2._replace(boundary_count=4)
+        with pytest.raises(ValueError, match="cross"):
+            fd(4, [(1, 2), (3, 4)])._replace(
+                chords=frozenset({(1, 3, False), (2, 4, False)}))
+        d = fd(4, [(1, 2)], [3, 4])._replace(
+            chords=frozenset({(1, 4, False)}), ticks=frozenset({2, 3}))
+        assert d == fd(4, [(1, 4)], [2, 3]) and type(d) is FlatDiagram
+
+    def test_make_validates_once(self, monkeypatch):
+        calls = []
+        check = FlatDiagram.validate
+        monkeypatch.setattr(FlatDiagram, "validate",
+                            lambda self: calls.append(self) or check(self))
+        fd(4, [(1, 4, True)], [2, 3])
+        assert len(calls) == 1
+
     def test_text_roundtrip(self):
         d = fd(4, [(1, 4, True), (2, 3)], [])
         assert FlatDiagram.parse(str(d)) == d

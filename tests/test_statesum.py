@@ -478,7 +478,7 @@ class TestMoveInvariance:
 
 
 class TestPacking:
-    """The dp evaluates every coefficient at q = 2^B as one int."""
+    """The dp evaluates every coefficient at q^2 = 2^B as one int."""
 
     def test_table_bounds(self):
         tables = statesum._kernel_tables()
@@ -490,6 +490,23 @@ class TestPacking:
         assert tables[tangle.CUP].norm == 2
         assert tables[tangle.CAP].norm == 1
 
+    def test_every_shifted_exponent_is_even(self):
+        # q^shift * c is a polynomial in q^2 for every entry c of all 10
+        # tables, so the kernel may pack at q^2
+        tables = statesum._kernel_tables()
+        assert len(tables) == 10
+        for key, table in tables.items():
+            for row in table.rows:
+                for part in row:
+                    for _, c in part:
+                        assert all((e + table.shift) % 2 == 0
+                                   for e, _ in c.terms()), (key, str(c))
+
+    def test_table_bound_refuses_odd_shifted_exponent(self):
+        part = ((0, ONE), (3, Q))
+        with pytest.raises(tanglex.ConsistencyError):
+            statesum._table_bound(((part, part),))
+
     def test_digit_width(self):
         # |coefficient| <= 2^k * prod(norms) = M < 2^(B-1)
         assert statesum._digit_width(0, []) == 2
@@ -497,6 +514,7 @@ class TestPacking:
         assert statesum._digit_width(2, [2, 1, 2]) == 6  # M = 16
 
     def test_encode_decode_round_trip(self):
+        # the kernel packs at q^2: every shifted exponent is even
         rng = random.Random(6)
         cases = []
         for _ in range(300):
@@ -507,21 +525,27 @@ class TestPacking:
             lo = rng.randint(-6, 6)
             # exponents left out of the dict are zero digits
             coeffs = {e: rng.choice(pool)
-                      for e in range(lo, lo + rng.randint(0, 9))
+                      for e in range(lo, lo + 2 * rng.randint(0, 9), 2)
                       if rng.random() < 0.6}
             cases.append((LaurentPoly(coeffs), width))
         cases += [(LaurentPoly({3: -1}), 2),             # negative leading
                   (LaurentPoly({-2: -31, 4: 31}), 6),    # zero digits
-                  (LaurentPoly({0: -32, 1: -32}), 6),    # lowest digit value
+                  (LaurentPoly({0: -32, 2: -32}), 6),    # lowest digit value
                   (LaurentPoly(), 5)]
         for p, width in cases:
-            shift = (-p.min_exp() if p else 0) + rng.randint(0, 3)
+            shift = (-p.min_exp() if p else 0) + 2 * rng.randint(0, 2)
             v = statesum._encode(p, shift, width)
             assert statesum._decode(v, width, -shift) == p, (p, shift, width)
 
     def test_encode_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
             statesum._encode(QI, 0, 8)
+
+    def test_encode_rejects_odd_shifted_exponent(self):
+        with pytest.raises(ValueError):
+            statesum._encode(Q, 0, 8)
+        with pytest.raises(ValueError):
+            statesum._encode(LaurentPoly({-1: 1, 0: 1}), 1, 8)
 
     def test_kernel_multiplies_no_polynomials(self):
         w = braid_to_tangle([1, -2, 1, -2, 3, 2, -3], 4)
@@ -544,6 +568,27 @@ class TestPacking:
         width = statesum._digit_width
         with mock.patch.object(statesum, "_digit_width",
                                lambda k, norms: width(k, norms) + 17):
+            assert evaluate_dp(w) == want, str(w)
+
+    def test_twist_free_tables(self):
+        # twisted rows equal plain rows exactly for rot 0 and rot 2
+        tables = statesum._kernel_tables()
+        for sign in (1, -1):
+            for rot in range(4):
+                assert tables[(sign, rot)].twist_free == (rot in (0, 2)), \
+                    (sign, rot)
+        assert not tables[tangle.CUP].twist_free
+        assert not tables[tangle.CAP].twist_free
+
+    @settings(max_examples=80, deadline=None)
+    @given(morse_words())
+    def test_twisted_loop_changes_nothing(self, w):
+        # every slice through the twisted loop gives the same output as
+        # twist-free crossings applied as key xors
+        want = evaluate_dp(w)
+        tables = {key: table._replace(twist_free=False)
+                  for key, table in statesum._kernel_tables().items()}
+        with mock.patch.object(statesum, "_kernel_tables", lambda: tables):
             assert evaluate_dp(w) == want, str(w)
 
     def test_dp_alexander_matches_burau_on_wide_knots(self):
