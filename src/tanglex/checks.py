@@ -4,7 +4,9 @@ One function per identity.  Each returns a one-line detail when the identity
 holds and raises CheckFailed when it does not; none relies on ``assert``, so
 the suite decides the same under ``python -O``.  ``tanglex check`` runs
 SUITE (plus ``dimensions`` and ``move_fuzz``), and the acceptance tests call
-the same functions under their time budgets.
+the same functions under their time budgets.  ``skein_at`` checks the skein
+relation at one crossing of any word; ``skein`` runs it on the four
+one-crossing words, and the tests run it on longer ones.
 
 The words the checks evaluate are parsed once, when this module is imported,
 so a timed check measures the evaluation and not the parser.
@@ -18,10 +20,11 @@ from .laurent import ZERO, LaurentPoly
 from .diagram import (DiagramVector, FlatDiagram, canonical_rep, coordinates,
                       enumerate_basis, even_subsets, glue_evaluate,
                       inner_product, motzkin, saddle_element)
-from .tangle import (analyze, apply_move, parse, random_move, random_word,
-                     turning_number)
+from .tangle import (MorseWord, analyze, apply_move, parse, random_move,
+                     random_word, turning_number)
 from .statesum import base_tables, evaluate_dp, evaluate_naive, expand_states
-from .invariant import alexander_polynomial, minus_q_power
+from .invariant import (alexander_polynomial, minus_q_power, with_crossing,
+                        with_crossing_smoothed)
 
 _Z = LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
 
@@ -159,26 +162,32 @@ def reidemeister_3() -> str:
     return "R3 sides agree (343 naive / 125 dotted terms each)"
 
 
-_SMOOTHINGS = {"up up": "", "down down": "",
-               "up down": "cap 1; cup 1 ccw;", "down up": "cap 1; cup 1 cw;"}
-_SKEIN = {o: (parse(f"bottom 2 {o}; x+ 1;"), parse(f"bottom 2 {o}; x- 1;"),
-              parse(f"bottom 2 {o}; {smooth}"))
-          for o, smooth in _SMOOTHINGS.items()}
+_SKEIN_WORDS = tuple(parse(f"bottom 2 {o}; x+ 1;")
+                     for o in _PARALLEL + _ANTIPARALLEL)
+
+
+def skein_at(word: MorseWord, index: int) -> None:
+    """T+ - T- = (q - q^-1) * T0 at crossing ``index`` of ``word``, where the
+    three words differ only there: in the diagram space (naive) and in the
+    quotient (dp)."""
+    over = with_crossing(word, index, "over")
+    under = with_crossing(word, index, "under")
+    smooth = with_crossing_smoothed(word, index)
+    if analyze(over).crossings[index].sign == 1:
+        pos_w, neg_w = over, under
+    else:
+        pos_w, neg_w = under, over
+    pos, neg = evaluate_naive(pos_w), evaluate_naive(neg_w)
+    _require(pos - neg == evaluate_naive(smooth).scale(_Z), word, "crossing",
+             index, "skein fails in the diagram space")
+    _require(evaluate_dp(pos_w) - evaluate_dp(neg_w)
+             == evaluate_dp(smooth).scale(_Z), word, "crossing", index,
+             "skein fails in the quotient")
 
 
 def skein() -> str:
-    for orient, (over, under, smooth) in _SKEIN.items():
-        if analyze(over).crossings[0].sign == 1:
-            pos_w, neg_w = over, under
-        else:
-            pos_w, neg_w = under, over
-        pos, neg = evaluate_naive(pos_w), evaluate_naive(neg_w)
-        sm = evaluate_naive(smooth)
-        _require(pos - neg == sm.scale(_Z), orient,
-                 "skein fails in the diagram space")
-        _require(coordinates(pos) - coordinates(neg)
-                 == coordinates(sm).scale(_Z), orient,
-                 "skein fails in the quotient")
+    for word in _SKEIN_WORDS:
+        skein_at(word, 0)
     return "skein identity in all four orientation patterns"
 
 

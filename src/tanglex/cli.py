@@ -13,9 +13,12 @@ Commands:
              ConsistencyError the library raises while checking, is a FAIL
              row.
 
-Exit codes: 0 ok, 1 check-suite failure, 2 bad input, 3 evaluator mismatch,
-4 oracle mismatch, 5 internal error (alexander or vector: a ConsistencyError
-the library raised while evaluating).
+Exit codes: 0 ok, 1 check-suite failure, 2 bad input (including a negative
+--dims or --fuzz), 3 evaluator mismatch (--evaluator both: the dp and naive
+class vectors differ, for alexander as for vector), 4 oracle mismatch,
+5 internal error (alexander or vector: a ConsistencyError the library raised
+while evaluating, such as a 2-endpoint class vector whose two coordinates
+differ, which is how a wrong delta shows on any evaluator).
 """
 
 from __future__ import annotations
@@ -34,24 +37,25 @@ from . import oracle as oracle_mod
  INTERNAL_ERROR) = 0, 1, 2, 3, 4, 5
 
 
-def _load_word(args) -> MorseWord:
+def _load_word(args) -> tuple[MorseWord, list | None]:
+    """The input word, and the braid word when the input is --braid."""
     sources = [s for s in (args.text, args.file, args.braid) if s is not None]
     if len(sources) != 1:
         raise TangleError("give exactly one of --text, --file, --braid")
     if args.text is not None:
-        return parse(args.text)
+        return parse(args.text), None
     if args.file is not None:
         with open(args.file) as fh:
-            return parse(fh.read())
-    word = [int(x) for x in args.braid.replace(",", " ").split()]
+            return parse(fh.read()), None
+    braid = [int(x) for x in args.braid.replace(",", " ").split()]
     if args.strands is None:
         raise TangleError("--braid requires --strands")
-    return braid_to_tangle(word, args.strands)
+    return braid_to_tangle(braid, args.strands), braid
 
 
 def cmd_alexander(args) -> int:
     try:
-        word = _load_word(args)
+        word, braid = _load_word(args)
     except (TangleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
@@ -70,10 +74,9 @@ def cmd_alexander(args) -> int:
     oracle_val = None
     oracle_note = None
     if args.oracle:
-        if args.braid is None:
+        if braid is None:
             oracle_note = "oracle unavailable: needs --braid input"
         else:
-            braid = [int(x) for x in args.braid.replace(",", " ").split()]
             try:
                 oracle_val = oracle_mod.alexander_via_burau(braid, args.strands)
             except oracle_mod.MultiComponentClosureError:
@@ -104,7 +107,7 @@ def cmd_alexander(args) -> int:
 
 def cmd_vector(args) -> int:
     try:
-        word = _load_word(args)
+        word, _ = _load_word(args)
         cv = tangle_invariant(word, args.evaluator)
     except EvaluatorMismatchError as exc:
         print(f"evaluator mismatch: {exc}", file=sys.stderr)
@@ -129,8 +132,7 @@ def cmd_check(args) -> int:
     suite = list(checks.SUITE)
     if args.dims:
         suite.append(("dimensions", lambda: checks.dimensions(args.dims)))
-    moves = args.fuzz or 25
-    suite.append(("move-fuzz", lambda: checks.move_fuzz(moves, args.seed)))
+    suite.append(("move-fuzz", lambda: checks.move_fuzz(args.fuzz, args.seed)))
     failures = 0
     rows = []
     for name, fn in suite:
@@ -174,10 +176,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_input_flags(pv)
     pv.set_defaults(fn=cmd_vector)
 
+    def count(text):
+        n = int(text)
+        if n < 0:
+            raise argparse.ArgumentTypeError(f"must be 0 or more, not {n}")
+        return n
+
     pc = sub.add_parser("check", help="run the identity suites")
-    pc.add_argument("--dims", type=int, default=0,
+    pc.add_argument("--dims", type=count, default=0,
                     help="also verify dimension counts up to n")
-    pc.add_argument("--fuzz", type=int, default=0,
+    pc.add_argument("--fuzz", type=count, default=25,
                     help="number of random moves in the invariance walk "
                          "(default 25)")
     pc.add_argument("--seed", type=int, default=0)

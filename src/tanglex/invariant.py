@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .laurent import LaurentPoly
-from .diagram import ClassVector, FlatDiagram, canonical_rep, coordinates, inner_product
+from .diagram import ClassVector, coordinates
 from .tangle import CAP, CUP, EndpointCountError, MorseWord, Slice, analyze, turning_number
 from .statesum import delta_from_class, evaluate_dp, evaluate_naive
 
@@ -52,35 +52,14 @@ class NormalizedResult(_NormalizedFields):
         return cls(*iterable)
 
 
-def _delta_naive_checked(word: MorseWord) -> LaurentPoly:
-    """The scalar via the full expansion, cross-checked three ways: the bare
-    coefficient, and the pairings against both 2-point canonical diagrams."""
-    v = evaluate_naive(word)
-    lam = v[FlatDiagram.make(2, [(1, 2, False)], [])]
-    via_dotted = -inner_product(v, canonical_rep((1, 2), 2).expand_dots())
-    via_ticks = inner_product(v, canonical_rep((), 2).expand_dots())
-    if not (lam == via_dotted == via_ticks):
-        raise EvaluatorMismatchError(
-            f"naive delta routes disagree: {lam} / {via_dotted} / {via_ticks}")
-    return lam
-
-
 def alexander_polynomial(word: MorseWord, evaluator: str = "dp") -> NormalizedResult:
     """Delta, the turning number, and the normalized Alexander polynomial of
-    the closure.  evaluator: 'dp' (default), 'naive', or 'both' (must agree)."""
+    the closure.  Delta is read off the class vector of ``tangle_invariant``
+    with the same evaluator: 'dp' (default), 'naive', or 'both' (the two
+    class vectors must agree)."""
     if word.endpoint_count != 2:
         raise EndpointCountError("the tangle must have exactly 2 endpoints")
-    if evaluator not in ("dp", "naive", "both"):
-        raise ValueError(f"unknown evaluator {evaluator!r}")
-    lam = None
-    if evaluator in ("dp", "both"):
-        lam = delta_from_class(evaluate_dp(word))
-    if evaluator in ("naive", "both"):
-        lam_naive = _delta_naive_checked(word)
-        if lam is not None and lam != lam_naive:
-            raise EvaluatorMismatchError(
-                f"dp delta {lam} != naive delta {lam_naive}")
-        lam = lam_naive if lam is None else lam
+    lam = delta_from_class(tangle_invariant(word, evaluator))
     tau = turning_number(word)
     return NormalizedResult(lam, tau, minus_q_power(-tau) * lam)
 
@@ -139,27 +118,3 @@ def with_crossing_smoothed(word: MorseWord, index: int) -> MorseWord:
         cups.insert(cup_at, label)
     return MorseWord(word.bottom_count, tuple(slices),
                      word.bottom_orientations, tuple(cups))
-
-
-def skein_triple_check(word: MorseWord, crossing_index: int,
-                       evaluator: str = "dp") -> bool:
-    """Whether Delta(T+) - Delta(T-) = (q - q^-1) * Delta(T0) holds at the
-    given crossing, with the three words differing only there.  Compares
-    scalars for 2-endpoint tangles, class vectors otherwise."""
-    pos_w = with_crossing(word, crossing_index, "over")
-    neg_w = with_crossing(word, crossing_index, "under")
-    sm_w = with_crossing_smoothed(word, crossing_index)
-    t = _crossing_slice_indices(word)[crossing_index]
-    sign_of_over = next(c.sign for c in analyze(pos_w).crossings
-                        if c.slice_index == t)
-    if sign_of_over < 0:
-        pos_w, neg_w = neg_w, pos_w
-    z = LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
-    if word.endpoint_count == 2:
-        def ev(w):
-            return alexander_polynomial(w, evaluator).delta
-        return ev(pos_w) - ev(neg_w) == z * ev(sm_w)
-    vp = tangle_invariant(pos_w, evaluator)
-    vn = tangle_invariant(neg_w, evaluator)
-    vs = tangle_invariant(sm_w, evaluator)
-    return vp - vn == vs.scale(z)

@@ -9,11 +9,12 @@ from unittest import mock
 import pytest
 
 import tanglex
-from tanglex import checks, diagram, statesum
+from tanglex import checks, diagram, invariant, statesum
 from tanglex.cli import main
 from tanglex.invariant import EvaluatorMismatchError
 from tanglex.laurent import LaurentPoly
-from tanglex.diagram import ClassVector, ConsistencyError
+from tanglex.diagram import (ClassVector, ConsistencyError, DiagramVector,
+                             FlatDiagram)
 
 
 def run(capsys, *argv):
@@ -111,6 +112,20 @@ class TestCheckCommand:
         doc = json.loads(out)
         assert doc["ok"] is True
 
+    def test_fuzz_zero_runs_no_moves(self, capsys):
+        code, out, _ = run(capsys, "check", "--fuzz", "0")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("PASS move-fuzz: 0 random")
+
+    @pytest.mark.parametrize("flag, value", [("--fuzz", "-3"),
+                                             ("--dims", "-2")])
+    def test_negative_count_refused(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", flag, value])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert f"argument {flag}: must be 0 or more" in out.err
+
     def test_deterministic_given_seed(self, capsys):
         _, out1, _ = run(capsys, "check", "--fuzz", "5", "--seed", "3")
         _, out2, _ = run(capsys, "check", "--fuzz", "5", "--seed", "3")
@@ -172,6 +187,19 @@ class TestInternalErrors:
     ])
     def test_consistency_error_exit_5(self, capsys, broken_pairing, argv):
         code, out, err = run(capsys, *argv)
+        assert code == 5 and out == ""
+        assert err.startswith("internal error: ")
+        assert len(err.splitlines()) == 1
+
+    def test_naive_delta_check_exit_5(self, capsys):
+        # a ticks term on the 2-point naive vector makes its two quotient
+        # coordinates differ: a ConsistencyError, as on the dp
+        evaluate = invariant.evaluate_naive
+        tick = DiagramVector.single(FlatDiagram.make(2, [], [1, 2]))
+        with mock.patch.object(invariant, "evaluate_naive",
+                               lambda word: evaluate(word) + tick):
+            code, out, err = run(capsys, "alexander", "--evaluator", "naive",
+                                 "--braid", "1 1 1", "--strands", "2")
         assert code == 5 and out == ""
         assert err.startswith("internal error: ")
         assert len(err.splitlines()) == 1

@@ -265,12 +265,6 @@ class TestSaddle:
         assert s[fd(4, [(1, 4, True), (2, 3, True)])] == ONE
         assert len(s) == 2
 
-    def test_negligible(self):
-        s = saddle_element()
-        for y in enumerate_basis(4):
-            assert inner_product(s, DiagramVector.single(y)) == ZERO
-        assert inner_product(s, s) == ZERO
-
     def test_coordinates_vanish(self):
         assert coordinates(saddle_element()).is_zero()
         assert coordinates(saddle_element().expand_dots()).is_zero()

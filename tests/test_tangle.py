@@ -112,10 +112,6 @@ class TestTurningNumber:
         assert turning_number(parse("bottom 1 up;")) == 0
         assert turning_number(parse("bottom 1 up; cup 2 ccw; cap 1;")) == 0
 
-    def test_positive_kink_is_minus_one(self):
-        w = parse("bottom 1 up; cup 2 cw; x+ 1; cap 2;")
-        assert turning_number(w) == -1
-
     def test_requires_two_endpoints(self):
         with pytest.raises(EndpointCountError):
             turning_number(parse("bottom 2 up up;"))
