@@ -55,11 +55,22 @@ B = bitlength(M) + 1, the coefficients are the unique balanced base-2^B
 digits of the int, in [-2^(B-1), 2^(B-1)), read once per key at the end,
 from exponent -(sum of s) upward in steps of 2.
 
-A crossing table whose twisted rows equal its plain rows (rot 0 and 2, so
-every braid crossing) is twist-free: the kernel reads no spectator bits for
-it and applies it as nk = key ^ dx over the rows' (dx, c), where
-dx = (input pair ^ output pair) << (lowest bit of the pair).  Cups, caps
-and rot 1/3 crossings keep the twisted loop.
+Every table keeps the parity of its pair (the even block is 00/11, the odd
+block 01/10), so each output coefficient of a slice reads at most one key
+and its partner key ^ (3 << ib), where ib is the lowest bit of the pair.
+``_table_form`` reads off each table's rows the form the kernel applies it
+in; the first three write each output once, with no accumulation:
+
+- BLOCK, a crossing whose twisted rows equal its plain rows (rot 0 and 2,
+  so every braid crossing): 00 and 11 keys are multiplied in place by one
+  packed scalar each, and each 01/10 partner pair is rewritten once by the
+  2x2 odd block.  No spectator bit is read.
+- FAN_OUT, the cup: each key writes its 00 output times 1 and its 11 output
+  times +-1 by the twist; outputs of distinct keys never collide.
+- FAN_IN, the cap: each 00 key is summed with its 11 partner, signed by the
+  twist; 01 and 10 keys drop.
+- SCATTER, any other table (the rot 1 and 3 crossings): every row entry is
+  added into its output key, and zero sums are dropped after the slice.
 
 ``expand_states`` and the Burau oracle keep ``LaurentPoly`` arithmetic: they
 are the independent checks of the dp, so they share none of its packing.
@@ -383,11 +394,43 @@ def _local_table(terms, consumed, produced):
     return tuple(rows)
 
 
+# the forms a local table can take in the kernel (see the module docstring)
+BLOCK, FAN_OUT, FAN_IN, SCATTER = "block", "fan-out", "fan-in", "scatter"
+
+
 class _KernelTable(NamedTuple):
     rows: tuple        # per input pair value: (plain, twisted) (out, coeff)
     shift: int         # q^shift * c is a polynomial in q^2, for every entry c
     norm: int          # row L1 norm
-    twist_free: bool   # every twisted row equals its plain row
+    form: str          # BLOCK, FAN_OUT, FAN_IN or SCATTER, read off the rows
+
+
+def _table_form(rows, consumed: bool, produced: bool) -> str:
+    """The form in which the kernel applies a local table, read off its rows
+    (the module docstring says what each form does):
+
+    BLOCK     a crossing whose twisted rows equal its plain rows, with no
+              zero entry, taking 00 and 11 each to itself alone, one odd
+              pair value (lo) to the other (hi) alone, and hi to both;
+    FAN_OUT   a cup creating 00 with 1 and 11 with s, twisted -s (s = +-1);
+    FAN_IN    a cap taking 00 to 1 and 11 to s, twisted -s, and 01, 10 to 0;
+    SCATTER   any other table."""
+    one = ((0, ONE),)
+    if consumed and produced:
+        outs = [[out for out, _ in plain] for plain, _ in rows]
+        if (all(plain == twisted for plain, twisted in rows)
+                and all(c for plain, _ in rows for _, c in plain)
+                and outs[0] == [0] and outs[3] == [3]
+                and (outs[1], outs[2]) in (([2], [1, 2]), ([1, 2], [1]))):
+            return BLOCK
+    elif produced:
+        if any(rows == ((one + ((3, s),), one + ((3, -s),)),)
+               for s in (ONE, -ONE)):
+            return FAN_OUT
+    elif any(rows == ((one, one), ((), ()), ((), ()), (((0, s),), ((0, -s),)))
+             for s in (ONE, -ONE)):
+        return FAN_IN
+    return SCATTER
 
 
 def _table_bound(rows):
@@ -406,18 +449,24 @@ def _table_bound(rows):
     return shift, norm
 
 
+def _kernel_table(rows, consumed: bool, produced: bool) -> _KernelTable:
+    """A local table with its bound and form."""
+    return _KernelTable(rows, *_table_bound(rows),
+                        _table_form(rows, consumed, produced))
+
+
 @lru_cache(maxsize=1)
 def _kernel_tables() -> dict:
-    """Local tables of all slice types, with their bounds: (sign, rot) for
-    the crossings, CUP and CAP.  Derived on the first evaluation, not at
-    import."""
-    rows = {key: _local_table(terms, True, True)
-            for key, terms in base_tables().five.items()}
-    rows[CUP] = _local_table(_CUP_TERMS_DOTTED, False, True)
-    rows[CAP] = _local_table(_CAP_TERM, True, False)
-    return {key: _KernelTable(r, *_table_bound(r),
-                              all(plain == twisted for plain, twisted in r))
-            for key, r in rows.items()}
+    """Local tables of all slice types, with their bounds and forms:
+    (sign, rot) for the crossings, CUP and CAP.  Derived on the first
+    evaluation, not at import."""
+    tables = {key: _kernel_table(_local_table(terms, True, True), True, True)
+              for key, terms in base_tables().five.items()}
+    tables[CUP] = _kernel_table(_local_table(_CUP_TERMS_DOTTED, False, True),
+                                False, True)
+    tables[CAP] = _kernel_table(_local_table(_CAP_TERM, True, False),
+                                True, False)
+    return tables
 
 
 def _digit_width(k: int, norms) -> int:
@@ -468,6 +517,25 @@ def _pack(table: _KernelTable, width: int) -> tuple:
                  for row in table.rows)
 
 
+def _operands(form: str, rows) -> tuple:
+    """What the kernel's loop for a form reads off the packed rows: for
+    BLOCK the entries (d0, d3, lo, b, c, d) of 00 -> 00, 11 -> 11, lo -> hi,
+    hi -> lo and hi -> hi; for FAN_OUT and FAN_IN (s < 0,); for SCATTER the
+    rows themselves."""
+    if form is BLOCK:
+        (_, d0), = rows[0][0]
+        (_, d3), = rows[3][0]
+        lo = 1 if len(rows[1][0]) == 1 else 2
+        (_, b), = rows[lo][0]
+        hi_row = dict(rows[3 - lo][0])
+        return d0, d3, lo, b, hi_row[lo], hi_row[3 - lo]
+    if form is FAN_OUT:
+        return (rows[0][0][1][1] < 0,)
+    if form is FAN_IN:
+        return (rows[3][0][0][1] < 0,)
+    return rows
+
+
 def evaluate_dp(word: MorseWord) -> ClassVector:
     """Coordinates of the tangle in the canonical basis of the quotient
     space, computed by composing one slice at a time."""
@@ -492,8 +560,8 @@ def evaluate_dp(word: MorseWord) -> ClassVector:
     used = [tables[step[0]] for step in steps]
     width = _digit_width(k, [table.norm for table in used])
     offset = -sum(table.shift for table in used)
-    packed = {key: _pack(tables[key], width)
-              for key in {step[0] for step in steps}}
+    operands = {key: _operands(tables[key].form, _pack(tables[key], width))
+                for key in {step[0] for step in steps}}
     # initial sliver: nested undotted strands from bottom p to cut p, each
     # with coefficient 1
     state = {}
@@ -504,20 +572,83 @@ def evaluate_dp(word: MorseWord) -> ClassVector:
                 key |= (1 << p) | (1 << (2 * k - 1 - p))
         state[key] = 1
     for table_key, ib, width_in, width_out in steps:
-        table = packed[table_key]
-        pair_mask = (1 << width_in) - 1
+        form = tables[table_key].form
+        ops = operands[table_key]
+        m = 3 << ib                        # the pair's two bits
+        if form is BLOCK:
+            # a crossing, rewritten in place: an output key takes input only
+            # from itself and its partner key ^ m, and no spectator is read
+            d0, d3, lo, b, c, d = ops
+            get = state.get
+            drop = []
+            add = []
+            for key, x in state.items():
+                pair = key >> ib & 3
+                if pair == 0:
+                    state[key] = x * d0
+                elif pair == 3:
+                    state[key] = x * d3
+                elif pair == lo:
+                    y = get(key ^ m)
+                    if y is None:
+                        drop.append(key)
+                        add.append((key ^ m, x * b))
+                    else:
+                        state[key] = y * c
+                        v = x * b + y * d
+                        if v:
+                            state[key ^ m] = v
+                        else:
+                            drop.append(key ^ m)
+                elif key ^ m not in state:   # hi; with a lo partner, done there
+                    add.append((key ^ m, x * c))
+                    state[key] = x * d
+            for key in drop:
+                del state[key]
+            state.update(add)
+            continue
         new = {}
-        if tables[table_key].twist_free:
-            # a crossing: the pair is rewritten in place and no spectator is
-            # read (a cup creating 11 or a cap destroying 11 always twists)
-            rows = [tuple(((pair ^ out) << ib, c) for out, c in row[0])
-                    for pair, row in enumerate(table)]
-            for key, coeff in state.items():
-                for dx, c in rows[(key >> ib) & pair_mask]:
-                    nk = key ^ dx
-                    new[nk] = new.get(nk, 0) + coeff * c
+        low_mask = (1 << ib) - 1
+        if form is FAN_OUT:
+            # a cup: a key gives 00 times 1 and 11 times s, negated by the
+            # twist; distinct keys give distinct outputs
+            neg, = ops
+            for key, x in state.items():
+                low = key & low_mask
+                high = key >> ib
+                rest = low | (high << (ib + 2))
+                new[rest] = x
+                if ((low.bit_count() >> 1) + (high.bit_count() >> 1)
+                        + neg) & 1:
+                    new[rest | m] = -x
+                else:
+                    new[rest | m] = x
+        elif form is FAN_IN:
+            # a cap: a 00 key gives its coefficient plus s times that of its
+            # 11 partner, negated by the twist; 01 and 10 keys give nothing
+            neg, = ops
+            get = state.get
+            for key, x in state.items():
+                pair = key >> ib & 3
+                if pair == 0:
+                    y = get(key | m)
+                elif pair == 3 and key ^ m not in state:   # no 00 partner
+                    x, y = 0, x
+                else:
+                    continue
+                low = key & low_mask
+                high = key >> (ib + 2)
+                if y is not None:
+                    if ((low.bit_count() >> 1) + (high.bit_count() >> 1)
+                            + neg) & 1:
+                        x -= y
+                    else:
+                        x += y
+                    if not x:
+                        continue
+                new[low | (high << ib)] = x
         else:
-            low_mask = (1 << ib) - 1
+            pair_mask = (1 << width_in) - 1
             for key, coeff in state.items():
                 low = key & low_mask
                 high = key >> (ib + width_in)
@@ -525,10 +656,11 @@ def evaluate_dp(word: MorseWord) -> ClassVector:
                 # the twist (-1)^(floor(lo/2) + floor(hi/2)) over the
                 # spectators
                 flip = ((low.bit_count() >> 1) + (high.bit_count() >> 1)) & 1
-                for out, c in table[(key >> ib) & pair_mask][flip]:
+                for out, c in ops[(key >> ib) & pair_mask][flip]:
                     nk = rest | (out << ib)
                     new[nk] = new.get(nk, 0) + coeff * c
-        state = {key: c for key, c in new.items() if c}
+            new = {key: c for key, c in new.items() if c}
+        state = new
     n = k + w
     return ClassVector(n, {tuple(i + 1 for i in range(n) if key >> i & 1):
                            _decode(c, width, offset)

@@ -516,26 +516,122 @@ class TestPacking:
                                lambda k, norms: width(k, norms) + 17):
             assert evaluate_dp(w) == want, str(w)
 
-    def test_twist_free_tables(self):
-        # twisted rows equal plain rows exactly for rot 0 and rot 2
+    def test_table_forms(self):
+        # read off the rows: twist-free crossings (rot 0 and 2) are blocks,
+        # the twisted rot 1 and 3 crossings are scattered
         tables = statesum._kernel_tables()
         for sign in (1, -1):
             for rot in range(4):
-                assert tables[(sign, rot)].twist_free == (rot in (0, 2)), \
-                    (sign, rot)
-        assert not tables[tangle.CUP].twist_free
-        assert not tables[tangle.CAP].twist_free
+                want = statesum.BLOCK if rot in (0, 2) else statesum.SCATTER
+                assert tables[(sign, rot)].form == want, (sign, rot)
+        assert tables[tangle.CUP].form == statesum.FAN_OUT
+        assert tables[tangle.CAP].form == statesum.FAN_IN
+
+    @staticmethod
+    def patched(tables):
+        return mock.patch.object(statesum, "_kernel_tables", lambda: tables)
+
+    @staticmethod
+    def edited(key, edit):
+        """The kernel tables with the rows of one table edited, its form
+        read off the edited rows."""
+        tables = dict(statesum._kernel_tables())
+        consumed, produced = {tangle.CUP: (False, True),
+                              tangle.CAP: (True, False)}.get(key, (True, True))
+        tables[key] = statesum._kernel_table(edit(tables[key].rows),
+                                             consumed, produced)
+        return tables
+
+    @staticmethod
+    def all_scattered(tables=None):
+        return {key: table._replace(form=statesum.SCATTER)
+                for key, table in (tables or statesum._kernel_tables()).items()}
+
+    def test_crossing_out_of_shape_is_scattered(self):
+        # a rot-0 table with an added 00 -> 11 entry q: on one crossing the
+        # key 00 (coefficient 1) also reaches 11, adding q at S = {3, 4}
+        w = parse("bottom 2 up up; x+ 1;")
+        want = evaluate_dp(w) + diagram.ClassVector(4, {(3, 4): Q})
+        tables = self.edited((1, 0), lambda rows: (
+            tuple(part + ((3, Q),) for part in rows[0]),) + rows[1:])
+        assert tables[(1, 0)].form == statesum.SCATTER
+        with self.patched(tables):
+            assert evaluate_dp(w) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(morse_words())
+    def test_negated_cup_and_cap_are_scattered(self, w):
+        # negated cup and cap tables (00 entry -1) fit no form, and negate
+        # the result once per cup and cap
+        def negate(rows):
+            return tuple(tuple(tuple((out, -c) for out, c in part)
+                               for part in row) for row in rows)
+
+        tables = self.edited(tangle.CUP, negate)
+        tables[tangle.CAP] = self.edited(tangle.CAP, negate)[tangle.CAP]
+        assert tables[tangle.CUP].form == statesum.SCATTER
+        assert tables[tangle.CAP].form == statesum.SCATTER
+        flips = sum(sl.kind in (tangle.CUP, tangle.CAP) for sl in w.slices)
+        want = evaluate_dp(w).scale(-ONE if flips % 2 else ONE)
+        with self.patched(tables):
+            assert evaluate_dp(w) == want, str(w)
+
+    OUT_OF_SHAPE = {
+        # a twisted row that differs from its plain row
+        "crossing twisted": ((1, 0), lambda rows: rows[:2] + (
+            (rows[2][0], tuple((out, -c) for out, c in rows[2][1])),)
+            + rows[3:]),
+        "cup untwisted": (tangle.CUP, lambda rows: ((rows[0][0],) * 2,)),
+        "cup 11 entry 2": (tangle.CUP, lambda rows: tuple(
+            tuple(tuple((out, c + c if out else c) for out, c in part)
+                  for part in row) for row in rows)),
+        "cap untwisted": (tangle.CAP, lambda rows: tuple(
+            (plain, plain) for plain, _ in rows)),
+        "cap 11 entry 2": (tangle.CAP, lambda rows: rows[:3] + (
+            tuple(tuple((out, c + c) for out, c in part)
+                  for part in rows[3]),)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OUT_OF_SHAPE))
+    def test_tables_out_of_shape_are_scattered(self, name):
+        # the edited table fits no form, and the kernel gives what the
+        # scatter loop gives on every table
+        tables = self.edited(*self.OUT_OF_SHAPE[name])
+        assert tables[self.OUT_OF_SHAPE[name][0]].form == statesum.SCATTER
+        rng = random.Random(name)
+        words = [random_word(rng, max_crossings=6, bottom=b % 4)
+                 for b in range(24)]
+        words += [braid_to_tangle(word, n) for word, n in
+                  (([1], 2), ([1, -2, 1, -2], 3), ([1, 2, -3, 2, -1, 3], 4))]
+        with self.patched(tables):
+            got = [evaluate_dp(w) for w in words]
+        with self.patched(self.all_scattered(tables)):
+            assert got == [evaluate_dp(w) for w in words]
 
     @settings(max_examples=80, deadline=None)
     @given(morse_words())
     def test_twisted_loop_changes_nothing(self, w):
-        # every slice through the twisted loop gives the same output as
-        # twist-free crossings applied as key xors
+        # every slice through the scatter loop gives the same output as
+        # each table applied in its form
         want = evaluate_dp(w)
-        tables = {key: table._replace(twist_free=False)
-                  for key, table in statesum._kernel_tables().items()}
-        with mock.patch.object(statesum, "_kernel_tables", lambda: tables):
+        with self.patched(self.all_scattered()):
             assert evaluate_dp(w) == want, str(w)
+
+    def test_twisted_loop_changes_nothing_on_knot_braids(self):
+        # closures of 2-7 strands: cuts up to 13 wide
+        rng = random.Random(9)
+        words = []
+        for n in range(2, 8):
+            for length in (n - 1, n + 5, 3 * n + 1):
+                while True:
+                    word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                            for _ in range(length)]
+                    if closure_components(word, n) == 1:
+                        break
+                words.append(braid_to_tangle(word, n))
+        want = [evaluate_dp(w) for w in words]
+        with self.patched(self.all_scattered()):
+            assert [evaluate_dp(w) for w in words] == want
 
     def test_dp_alexander_matches_burau_on_wide_knots(self):
         # 7-8 strands, 20-25 letters: larger coefficients and digit widths
