@@ -23,9 +23,18 @@ to an interior vertex, and the joined strand is written back at its two
 ends.  When the consumed pair is one strand, it either closes into a loop
 with the term's chord (0, 1) (dotted: factor -1; undotted: killed) or links
 the two other ends of its corners' term elements.  A dotted strand that
-reaches an interior vertex is killed.  Identical states are merged after
-every slice, and each state's coefficient is multiplied once per distinct
-table coefficient.
+reaches an interior vertex is killed.  The rewrite reads only a state's cut
+(the ``ends``), never what is closed off below it, so the states are kept
+grouped by cut, each cut with its raw state count, and a slice rewrites
+each distinct cut once: the cup shift, the corners' state-side ends and the
+loop test are done once, then every term of the table is applied, and terms
+giving the same picture are merged into one outcome with their summed
+coefficient (the 7-term table's two all-tick pictures become one, -(q +
+q^-1)).  Each state of the cut then goes to each nonzero outcome with one
+``LaurentPoly`` product.  Each surviving term forwards the cut's raw count
+to its own new cut, and each killed term counts it times 7 or 5 to the
+number of crossings left, so the total is exactly 7^c or 5^c; states whose
+coefficients cancel are dropped, and their count stays on the cut.
 
 ``evaluate_dp`` composes slice by slice in the quotient space, carrying
 coordinates in the canonical dotted basis: at most 2^(width+bottom-1) keys
@@ -161,13 +170,14 @@ def base_tables() -> ExpansionTable:
 
 
 # ---------------------------------------------------------------------------
-# one local piece applied to a partial-diagram state
+# one slice applied to the cut of partial-diagram states
 #
 # A state is (ends, done):
 #   ends[p]  for cut position p (0-based): ('c', partner_position, dot)
 #            | ('b', bottom_point, dot) | ('t', None, dot)
 #   done     frozenset of ('chord', i, j, dot) and ('tick', i) on bottom points
-# The strand dot flag is stored at both ends of a strand.
+# The strand dot flag is stored at both ends of a strand.  ``ends`` is the
+# state's cut; the rewrite never reads ``done``.
 
 _CUP_TERM_PLAIN = (_term(ONE, [(2, 3, False)], []),)
 _CUP_TERMS_DOTTED = (_term(ONE, [(2, 3, True)], []),
@@ -177,14 +187,21 @@ _CAP_TERM = (_term(ONE, [(0, 1, False)], []),)
 _INTERIOR = ("t", None, False)
 
 
-def _apply_piece(ends, done, where, term, consumed, produced):
-    """Apply one local picture.  ``where`` is the 0-based position of the
-    piece's left corner.  Returns (factor, ends', done') or None if killed.
+def _apply_terms(ends, where, terms, consumed, produced):
+    """Apply every local picture of a slice's table to one cut.  ``where``
+    is the 0-based position of the piece's left corner.
 
-    The rewrite is the one the module docstring describes.  A corner's
-    state-side end is written like an entry of ``ends``; a produced corner's
-    is ('c', its own new cut position, False), so a join writes a new cut
-    position the same way as an old one."""
+    Returns (outcomes, killed): ``outcomes`` maps (ends', added), the new
+    cut and the frozenset of items the term closes off among the bottom
+    points, to [summed signed coefficient, number of terms]; ``killed`` is
+    the number of killed terms.  Terms giving the same picture are merged
+    into one outcome, which may sum to zero.
+
+    The rewrite is the one the module docstring describes.  The cup shift,
+    the corners' state-side ends and the loop test are done once for the
+    cut.  A corner's state-side end is written like an entry of ``ends``; a
+    produced corner's is ('c', its own new cut position, False), so a join
+    writes a new cut position the same way as an old one."""
     ends = list(ends)
     if produced and not consumed:          # cup: make room first
         for i, e in enumerate(ends):
@@ -201,49 +218,64 @@ def _apply_piece(ends, done, where, term, consumed, produced):
             loop = a[2]                    # corners 0, 1 end one strand
         else:
             side[0], side[1] = a, ends[where + 1]
-    joins = [(side[u], side[v], dot) for u, v, dot in term.chords]
-    joins += [(side[c], _INTERIOR, False) for c in term.ticks]
-    factor = 1
-    if loop is not None:
-        merged = [j for j in joins if j[0] is None or j[1] is None]
-        joins = [j for j in joins if j[0] is not None and j[1] is not None]
-        if len(merged) == 1:               # the chord (0, 1): a closed loop
-            if not (loop or merged[0][2]):
-                return None
-            factor = -1
-        else:
-            (x, y, d), (u, v, e) = merged
-            joins.append((y if x is None else x, v if u is None else u,
-                          loop or d or e))
-    added = []
-    for x, y, dot in joins:
-        dot = dot or x[2] or y[2]
-        if y[0] == "t":
-            x, y = y, x
-        if x[0] == "t":                    # a path to an interior vertex
-            if dot:
-                return None
-            if y[0] == "b":
-                added.append(("tick", y[1]))
-            elif y[0] == "c":
-                ends[y[1]] = _INTERIOR
-        elif x[0] == "b" and y[0] == "b":
-            added.append(("chord", min(x[1], y[1]), max(x[1], y[1]), dot))
-        else:
-            if x[0] == "b":
+    outcomes = {}
+    killed = 0
+    for term in terms:
+        coeff = term.coeff
+        joins = [(side[u], side[v], dot) for u, v, dot in term.chords]
+        joins += [(side[c], _INTERIOR, False) for c in term.ticks]
+        if loop is not None:
+            merged = [j for j in joins if j[0] is None or j[1] is None]
+            joins = [j for j in joins if j[0] is not None and j[1] is not None]
+            if len(merged) == 1:           # the chord (0, 1): a closed loop
+                if not (loop or merged[0][2]):
+                    killed += 1
+                    continue
+                coeff = -coeff
+            else:
+                (x, y, d), (u, v, e) = merged
+                joins.append((y if x is None else x, v if u is None else u,
+                              loop or d or e))
+        out = ends.copy()
+        added = []
+        for x, y, dot in joins:
+            dot = dot or x[2] or y[2]
+            if y[0] == "t":
                 x, y = y, x
-            ends[x[1]] = (y[0], y[1], dot)
-            if y[0] == "c":
-                ends[y[1]] = ("c", x[1], dot)
-    if consumed and not produced:          # cap: close the gap
-        del ends[where:where + 2]
-        for i, e in enumerate(ends):
-            if e[0] == "c" and e[1] >= where:
-                if e[1] <= where + 1:
-                    raise ConsistencyError(
-                        "cap left a strand ending in its gap")
-                ends[i] = ("c", e[1] - 2, e[2])
-    return factor, tuple(ends), done.union(added) if added else done
+            if x[0] == "t":                # a path to an interior vertex
+                if dot:
+                    break
+                if y[0] == "b":
+                    added.append(("tick", y[1]))
+                elif y[0] == "c":
+                    out[y[1]] = _INTERIOR
+            elif x[0] == "b" and y[0] == "b":
+                added.append(("chord", min(x[1], y[1]), max(x[1], y[1]), dot))
+            else:
+                if x[0] == "b":
+                    x, y = y, x
+                out[x[1]] = (y[0], y[1], dot)
+                if y[0] == "c":
+                    out[y[1]] = ("c", x[1], dot)
+        else:
+            if consumed and not produced:  # cap: close the gap
+                del out[where:where + 2]
+                for i, e in enumerate(out):
+                    if e[0] == "c" and e[1] >= where:
+                        if e[1] <= where + 1:
+                            raise ConsistencyError(
+                                "cap left a strand ending in its gap")
+                        out[i] = ("c", e[1] - 2, e[2])
+            key = (tuple(out), frozenset(added))
+            acc = outcomes.get(key)
+            if acc is None:
+                outcomes[key] = [coeff, 1]
+            else:
+                acc[0] = acc[0] + coeff
+                acc[1] += 1
+            continue
+        killed += 1                        # a dotted path met a tick
+    return outcomes, killed
 
 
 def _finalize(ends, done, bottom_count: int) -> FlatDiagram:
@@ -290,8 +322,9 @@ def expand_states(word: MorseWord, dotted: bool = False):
     for i in range(len(word.slices) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + (word.slices[i].kind in (OVER, UNDER))
 
-    init = (tuple(("b", p + 1, False) for p in range(k)), frozenset())
-    states = {init: (ONE, 1)}
+    # the states grouped by cut: {ends: [raw count, {done: coeff}]}
+    cuts = {tuple(("b", p + 1, False) for p in range(k)):
+            [1, {frozenset(): ONE}]}
     killed = 0
     ci = iter(an.crossings)
     for t, sl in enumerate(word.slices):
@@ -305,33 +338,35 @@ def expand_states(word: MorseWord, dotted: bool = False):
             terms = tables[(info.sign, info.rot)]
             consumed = produced = True
         where = sl.pos - 1
-        # a state's coefficient is multiplied once per distinct table
-        # coefficient (4 of them in a 7-term table, 1 for a cup or cap)
-        coeffs = list(dict.fromkeys(term.coeff for term in terms))
-        slots = [(term, coeffs.index(term.coeff)) for term in terms]
         new = {}
-        for (ends, done), (coeff, count) in states.items():
-            prods = [coeff * c for c in coeffs]
-            for term, slot in slots:
-                res = _apply_piece(ends, done, where, term, consumed, produced)
-                if res is None:
-                    killed += count * after
+        for ends, (count, states) in cuts.items():
+            outcomes, dead = _apply_terms(ends, where, terms, consumed,
+                                          produced)
+            killed += dead * count * after
+            for (e2, added), (c, n) in outcomes.items():
+                # each term forwards the cut's raw count to its own target
+                cut = new.get(e2)
+                if cut is None:
+                    cut = new[e2] = [0, {}]
+                cut[0] += n * count
+                if not c:
                     continue
-                factor, e2, d2 = res
-                c = prods[slot]
-                if factor < 0:
-                    c = -c
-                key = (e2, d2)
-                old_c, old_n = new.get(key, (ZERO, 0))
-                # cancelled states are carried with coefficient zero so the
-                # raw-state tally stays exact
-                new[key] = (old_c + c, old_n + count)
-        states = new
+                target = cut[1]
+                for done, coeff in states.items():
+                    if added:
+                        done = done | added
+                    p = coeff * c
+                    old = target.get(done)
+                    target[done] = p if old is None else old + p
+        # cancelled states are dropped; their raw count stays on the cut
+        for cut in new.values():
+            cut[1] = {done: c for done, c in cut[1].items() if c}
+        cuts = new
     vec = DiagramVector(word.endpoint_count)
     total = killed
-    for (ends, done), (coeff, count) in states.items():
+    for ends, (count, states) in cuts.items():
         total += count
-        if coeff:
+        for done, coeff in states.items():
             vec.add_term(_finalize(ends, done, k), coeff)
     expected = branch ** word.crossing_count()
     if total != expected:
@@ -374,18 +409,14 @@ def _local_table(terms, consumed, produced):
     for loc in (range(4) if consumed else (0,)):
         ends, done = _LOCAL_STATES[loc] if consumed else ((), frozenset())
         acc = {}
-        for term in terms:
-            res = _apply_piece(ends, done, 0, term, consumed, produced)
-            if res is None:
-                continue
-            factor, e2, d2 = res
-            sign, subset = dotted_class(_finalize(e2, d2, k))
+        outcomes, _ = _apply_terms(ends, 0, terms, consumed, produced)
+        for (e2, added), (coeff, _) in outcomes.items():
+            sign, subset = dotted_class(_finalize(e2, done | added, k))
             bits = sum(1 << (p - 1) for p in subset)
             if consumed and bits & 1 != loc.bit_count() & 1:
                 raise ConsistencyError("slice transition moved a spectator")
             out = bits >> k
-            coeff = term.coeff if factor * sign > 0 else -term.coeff
-            acc[out] = acc.get(out, ZERO) + coeff
+            acc[out] = acc.get(out, ZERO) + (coeff if sign > 0 else -coeff)
         plain = tuple((out, c) for out, c in sorted(acc.items()) if c)
         twisted = tuple(
             (out, -c if (loc == 3) != (produced and out == 3) else c)
