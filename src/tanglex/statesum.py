@@ -49,6 +49,23 @@ above the pair.  The local tables are derived from the 5-term tables by
 diagram surgery on a 3-point cut, once, on the first dp evaluation; no
 transition cache is kept.
 
+The dp's work at a slice grows with the live keys at its cut, about
+2^(bottom + width), and ``braid_to_tangle`` puts every cup before the braid
+and every cap after it, so every level of an n-strand closure is 2n-1 wide.
+So before the slices run, ``_schedule`` moves cups as late and caps as
+early as planar isotopy lets them go, on the kernel's own step list of
+(table key, ib, width_in, width_out).  It swaps two adjacent steps A, B (A
+first) when the swap moves a cup up (A is a cup and B is not) or a cap down
+(B is a cap and A is not), and only when their bits are disjoint.  If B's
+bits lie below A's (ib_B + in_B <= ib_A), B keeps its ib and A's shifts by
+out_B - in_B; if they lie above (ib_B >= ib_A + out_A), B's ib shifts by
+-(out_A - in_A) and A keeps its own.  Each swap narrows the one cut between
+A and B and leaves every other cut as it was, so the pass ends.  A
+crossing's (sign, rot) key travels with its step, and the dp reads no cup
+label.  Only the dp is scheduled: ``expand_states`` and the Burau oracle
+take the word as written, so wherever they are compared with the dp they
+check the pass as well.
+
 The dp does no polynomial arithmetic.  Each table has a shift s (minus its
 lowest exponent: 1 for a crossing, 0 for a cup or cap), and every entry
 times q^s is a polynomial in q^2: a crossing entry has only odd exponents,
@@ -567,14 +584,12 @@ def _operands(form: str, rows) -> tuple:
     return rows
 
 
-def evaluate_dp(word: MorseWord) -> ClassVector:
-    """Coordinates of the tangle in the canonical basis of the quotient
-    space, computed by composing one slice at a time."""
-    tables = _kernel_tables()
+def _steps(word: MorseWord) -> list:
+    """One step per slice of the word: (table key, ib, width_in,
+    width_out), where ib is the lowest bit of the slice's pair and
+    width_in / width_out count the pair bits it consumes / produces."""
     an = analyze(word)
     k = word.bottom_count
-    # one step per slice: table key, ib (lowest bit of the pair), and
-    # width_in / width_out (pair bits consumed / produced by the slice)
     steps = []
     ci = iter(an.crossings)
     w = k
@@ -588,6 +603,37 @@ def evaluate_dp(word: MorseWord) -> ClassVector:
             step = ((info.sign, info.rot), k + w - sl.pos - 1, 2, 2)
         steps.append(step)
         w += step[3] - step[2]
+    return steps
+
+
+def _schedule(steps) -> list:
+    """The steps reordered by planar isotopy, cups as late and caps as
+    early as they go (the module docstring gives the swap rule)."""
+    steps = list(steps)
+    i = 0
+    while i + 1 < len(steps):
+        a, b = steps[i], steps[i + 1]
+        if (a[0] == CUP and b[0] != CUP) or (b[0] == CAP and a[0] != CAP):
+            key_a, ib_a, in_a, out_a = a
+            key_b, ib_b, in_b, out_b = b
+            if ib_b + in_b <= ib_a:        # B's bits lie below A's
+                steps[i:i + 2] = [b, (key_a, ib_a + out_b - in_b, in_a, out_a)]
+                i = max(i - 1, 0)
+                continue
+            if ib_b >= ib_a + out_a:       # B's bits lie above A's
+                steps[i:i + 2] = [(key_b, ib_b - out_a + in_a, in_b, out_b), a]
+                i = max(i - 1, 0)
+                continue
+        i += 1
+    return steps
+
+
+def evaluate_dp(word: MorseWord) -> ClassVector:
+    """Coordinates of the tangle in the canonical basis of the quotient
+    space, computed by composing one slice at a time."""
+    tables = _kernel_tables()
+    k = word.bottom_count
+    steps = _schedule(_steps(word))
     used = [tables[step[0]] for step in steps]
     width = _digit_width(k, [table.norm for table in used])
     offset = -sum(table.shift for table in used)
@@ -692,7 +738,7 @@ def evaluate_dp(word: MorseWord) -> ClassVector:
                     new[nk] = new.get(nk, 0) + coeff * c
             new = {key: c for key, c in new.items() if c}
         state = new
-    n = k + w
+    n = 2 * k + sum(step[3] - step[2] for step in steps)   # bottom + top
     return ClassVector(n, {tuple(i + 1 for i in range(n) if key >> i & 1):
                            _decode(c, width, offset)
                            for key, c in state.items()})

@@ -135,7 +135,6 @@ class TestCheckCommand:
 class TestCheckFailures:
     @pytest.mark.parametrize("error", [
         ConsistencyError("state count 1 != 343"),
-        EvaluatorMismatchError("dp and naive class vectors differ"),
         checks.CheckFailed("R3 sides differ in the diagram space"),
     ])
     def test_error_in_a_check_is_a_fail_row(self, capsys, error):
@@ -144,6 +143,14 @@ class TestCheckFailures:
         assert code == 1
         assert f"FAIL reidemeister-3: {error}" in out.splitlines()
         assert sum(line.startswith("PASS") for line in out.splitlines()) == 8
+
+    def test_evaluator_mismatch_propagates(self, capsys):
+        # no check compares evaluators through tangle_invariant, so a
+        # mismatch raised inside one is not a FAIL row
+        error = EvaluatorMismatchError("dp and naive class vectors differ")
+        with mock.patch.object(checks, "expand_states", side_effect=error):
+            with pytest.raises(EvaluatorMismatchError):
+                run(capsys, "check")
 
     def test_other_assertion_errors_propagate(self, capsys):
         # only the library's own ConsistencyError is a FAIL row

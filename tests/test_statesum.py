@@ -713,6 +713,60 @@ class TestPacking:
             assert res.alexander == alexander_via_burau(word, n), (word, n)
 
 
+class TestSchedule:
+    @staticmethod
+    def cut_widths(word, steps):
+        widths = [word.bottom_count]
+        for _, _, width_in, width_out in steps:
+            widths.append(widths[-1] + width_out - width_in)
+        return tuple(widths)
+
+    @staticmethod
+    def unscheduled():
+        return mock.patch.object(statesum, "_schedule", list)
+
+    def test_braid_closure_cuts_narrow(self):
+        # each cup rises to just below the first crossing on its strand
+        w = braid_to_tangle((1, -2, 3, 1, -2, 3), 4)
+        steps = statesum._steps(w)
+        assert self.cut_widths(w, steps) == (1, 3, 5, 7, 7, 7, 7, 7, 7, 7,
+                                             5, 3, 1)
+        assert self.cut_widths(w, statesum._schedule(steps)) == (
+            1, 3, 3, 5, 5, 7, 7, 7, 7, 7, 5, 3, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(morse_words())
+    def test_no_cut_widens_and_outputs_agree(self, w):
+        steps = statesum._steps(w)
+        scheduled = statesum._schedule(steps)
+        assert all(after <= before for before, after in
+                   zip(self.cut_widths(w, steps),
+                       self.cut_widths(w, scheduled))), str(w)
+        # crossings keep their keys and their order
+        def crossings(seq):
+            return [s[0] for s in seq if s[0] not in (tangle.CUP, tangle.CAP)]
+        assert crossings(scheduled) == crossings(steps)
+        want = evaluate_dp(w)
+        with self.unscheduled():
+            assert evaluate_dp(w) == want, str(w)
+
+    def test_outputs_agree_on_knot_braids(self):
+        # closures of 2-9 strands: cuts up to 17 wide before the pass
+        rng = random.Random(12)
+        words = []
+        for n in range(2, 10):
+            for length in (n - 1, 3 * n + 1):
+                while True:
+                    word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                            for _ in range(length)]
+                    if closure_components(word, n) == 1:
+                        break
+                words.append(braid_to_tangle(word, n))
+        want = [evaluate_dp(w) for w in words]
+        with self.unscheduled():
+            assert [evaluate_dp(w) for w in words] == want
+
+
 class TestBoundedMemory:
     @staticmethod
     def module_cache_sizes():
