@@ -135,6 +135,7 @@ class TestCheckCommand:
 class TestCheckFailures:
     @pytest.mark.parametrize("error", [
         ConsistencyError("state count 1 != 343"),
+        ConsistencyError("slice transition moved a spectator"),
         checks.CheckFailed("R3 sides differ in the diagram space"),
     ])
     def test_error_in_a_check_is_a_fail_row(self, capsys, error):
