@@ -78,19 +78,36 @@ def burau_reduced(word, strands: int):
 
 
 def _det(m) -> LaurentPoly:
-    n = len(m)
+    """Bareiss fraction-free elimination.  After step k each entry (i, j)
+    of the trailing block is the minor of m (rows swapped so far) on rows
+    0..k, i and columns 0..k, j, so the division by the previous pivot is
+    exact.  A zero pivot is swapped with a nonzero entry below it, which
+    negates the result; with none, m is singular."""
+    a = [list(row) for row in m]
+    n = len(a)
     if n == 0:
         return ONE
-    if n == 1:
-        return m[0][0]
-    total = ZERO
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
-        term = m[0][j] * _det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    negate = False
+    prev = ONE
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            for i in range(k + 1, n):
+                if not a[i][k].is_zero():
+                    a[k], a[i] = a[i], a[k]
+                    negate = not negate
+                    break
+            else:
+                return ZERO
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            x = row[k]
+            for j in range(k + 1, n):
+                v = row[j] * pivot
+                if not x.is_zero():
+                    v = v - x * row_k[j]
+                row[j] = v.divexact(prev)
+        prev = pivot
+    return -a[n - 1][n - 1] if negate else a[n - 1][n - 1]
 
 
 def normalize_symmetric(p: LaurentPoly) -> LaurentPoly:

@@ -98,6 +98,33 @@ in; the first three write each output once, with no accumulation:
 - SCATTER, any other table (the rot 1 and 3 crossings): every row entry is
   added into its output key, and zero sums are dropped after the slice.
 
+By the end of a braid closure most live keys can no longer reach an output
+key, so ``evaluate_dp`` meets in the middle.  The first ``_split`` steps run
+forward from the initial sliver; the rest run backward, from the top down
+to the split cut, on a costate seeded with 1 on every output key, and each
+output coefficient is the sum of state times costate over the keys of the
+split cut.  A backward step applies the transposed table, which every
+``_KernelTable`` carries as ``back``, with the step's width_in and
+width_out swapped.  The twist reads only spectator bits, which are the same
+on both sides of a slice, so the plain and the twisted rows transpose each
+on their own, and ``_table_form`` reads the transposes off as they are: a
+BLOCK crossing stays BLOCK with its lo -> hi and hi -> lo entries traded,
+the cup's transpose is FAN_IN, the cap's FAN_OUT, and the rot 1 and 3
+crossings stay SCATTER.  One costate serves every coordinate because no
+slice touches a bottom bit (every ib is at least k): a key keeps its bottom
+bits, its sector, from the bottom to the top, and with at most one top
+point each sector has exactly one output key, sector | parity(sector) << k
+for one top point and the sector itself (even sectors only) for none.  So
+distinct sectors never mix, and the c_{} and c_{1,2} of a closure, which
+``delta_from_class`` compares, come out separately.  With two or more top
+points a sector has several output keys, each of which would need its own
+costate, so ``_split`` returns len(steps) there and the backward part is
+empty.  Otherwise it returns len(steps) // 2: on 150 6-strand knot braids
+that reads as few live keys as splitting at the middle crossing.  Each
+result int is the forward one, because the packed tables are integer
+matrices and their product is associative; so B (from the forward tables'
+norms), the offset and ``_decode`` are as above.
+
 ``expand_states`` and the Burau oracle keep ``LaurentPoly`` arithmetic: they
 are the independent checks of the dp, so they share none of its packing.
 """
@@ -451,6 +478,7 @@ class _KernelTable(NamedTuple):
     shift: int         # q^shift * c is a polynomial in q^2, for every entry c
     norm: int          # row L1 norm
     form: str          # BLOCK, FAN_OUT, FAN_IN or SCATTER, read off the rows
+    back: "_KernelTable | None"   # the transposed table (whose back is None)
 
 
 def _table_form(rows, consumed: bool, produced: bool) -> str:
@@ -497,10 +525,27 @@ def _table_bound(rows):
     return shift, norm
 
 
+def _transpose(rows, produced: bool) -> tuple:
+    """The rows of the transposed table: per output pair value of ``rows``,
+    (plain, twisted) lists of (input pair value, coeff).  The twist reads
+    only spectator bits, the same on both sides of a slice, so each part
+    transposes on its own."""
+    return tuple(tuple(tuple((i, c) for i, row in enumerate(rows)
+                             for o, c in row[flip] if o == out)
+                       for flip in (0, 1))
+                 for out in range(4 if produced else 1))
+
+
 def _kernel_table(rows, consumed: bool, produced: bool) -> _KernelTable:
-    """A local table with its bound and form."""
+    """A local table with its bound and form, and its transpose with its
+    own, which consumes what the table produces and produces what it
+    consumes."""
+    back = _transpose(rows, produced)
     return _KernelTable(rows, *_table_bound(rows),
-                        _table_form(rows, consumed, produced))
+                        _table_form(rows, consumed, produced),
+                        _KernelTable(back, *_table_bound(back),
+                                     _table_form(back, produced, consumed),
+                                     None))
 
 
 @lru_cache(maxsize=1)
@@ -584,6 +629,12 @@ def _operands(form: str, rows) -> tuple:
     return rows
 
 
+def _packed(tables: dict, width: int) -> dict:
+    """The kernel's operands of each table, packed at q^2 = 2^width."""
+    return {key: _operands(table.form, _pack(table, width))
+            for key, table in tables.items()}
+
+
 def _steps(word: MorseWord) -> list:
     """One step per slice of the word: (table key, ib, width_in,
     width_out), where ib is the lowest bit of the slice's pair and
@@ -628,26 +679,10 @@ def _schedule(steps) -> list:
     return steps
 
 
-def evaluate_dp(word: MorseWord) -> ClassVector:
-    """Coordinates of the tangle in the canonical basis of the quotient
-    space, computed by composing one slice at a time."""
-    tables = _kernel_tables()
-    k = word.bottom_count
-    steps = _schedule(_steps(word))
-    used = [tables[step[0]] for step in steps]
-    width = _digit_width(k, [table.norm for table in used])
-    offset = -sum(table.shift for table in used)
-    operands = {key: _operands(tables[key].form, _pack(tables[key], width))
-                for key in {step[0] for step in steps}}
-    # initial sliver: nested undotted strands from bottom p to cut p, each
-    # with coefficient 1
-    state = {}
-    for bits in range(1 << k):
-        key = 0
-        for p in range(k):
-            if bits >> p & 1:
-                key |= (1 << p) | (1 << (2 * k - 1 - p))
-        state[key] = 1
+def _sweep(state: dict, steps, tables: dict, operands: dict) -> dict:
+    """The state after ``steps``, each table applied in its form (the module
+    docstring says what each form does); ``state`` may be rewritten in
+    place."""
     for table_key, ib, width_in, width_out in steps:
         form = tables[table_key].form
         ops = operands[table_key]
@@ -738,7 +773,58 @@ def evaluate_dp(word: MorseWord) -> ClassVector:
                     new[nk] = new.get(nk, 0) + coeff * c
             new = {key: c for key, c in new.items() if c}
         state = new
-    n = 2 * k + sum(step[3] - step[2] for step in steps)   # bottom + top
+    return state
+
+
+def _split(steps, top: int) -> int:
+    """How many steps run forward before the costate meets the state: half
+    of them when the top has at most one point, else all of them."""
+    return len(steps) // 2 if top <= 1 else len(steps)
+
+
+def evaluate_dp(word: MorseWord) -> ClassVector:
+    """Coordinates of the tangle in the canonical basis of the quotient
+    space, computed by composing one slice at a time: the bottom part of
+    the step list forward from the bottom, the top part backward from the
+    output keys (see the module docstring)."""
+    tables = _kernel_tables()
+    k = word.bottom_count
+    steps = _schedule(_steps(word))
+    used = [tables[step[0]] for step in steps]
+    width = _digit_width(k, [table.norm for table in used])
+    offset = -sum(table.shift for table in used)
+    top = k + sum(step[3] - step[2] for step in steps)
+    split = _split(steps, top)
+    # initial sliver: nested undotted strands from bottom p to cut p, each
+    # with coefficient 1
+    state = {}
+    for bits in range(1 << k):
+        key = 0
+        for p in range(k):
+            if bits >> p & 1:
+                key |= (1 << p) | (1 << (2 * k - 1 - p))
+        state[key] = 1
+    forward = {key: tables[key] for key, _, _, _ in steps[:split]}
+    state = _sweep(state, steps[:split], forward, _packed(forward, width))
+    if split < len(steps):
+        # the costate, seeded with 1 on every output key, one per sector
+        back = {key: tables[key].back for key, _, _, _ in steps[split:]}
+        costate = _sweep(
+            {key: 1 for key in range(1 << (k + top))
+             if not key.bit_count() & 1},
+            [(key, ib, width_out, width_in)
+             for key, ib, width_in, width_out in reversed(steps[split:])],
+            back, _packed(back, width))
+        low_mask = (1 << k) - 1
+        meet = {}
+        for key, x in state.items():
+            y = costate.get(key)
+            if y:
+                sector = key & low_mask
+                out = sector | (sector.bit_count() & 1) << k
+                meet[out] = meet.get(out, 0) + x * y
+        state = {key: v for key, v in meet.items() if v}
+    n = k + top
     return ClassVector(n, {tuple(i + 1 for i in range(n) if key >> i & 1):
                            _decode(c, width, offset)
                            for key, c in state.items()})

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from tanglex.laurent import LaurentPoly, ONE
+from tanglex import oracle
+from tanglex.laurent import LaurentPoly, ONE, ZERO
 from tanglex.oracle import (KNOT_CORPUS, MultiComponentClosureError,
                             OracleError, alexander_via_burau,
                             braid_permutation, burau_reduced,
@@ -55,6 +56,36 @@ class TestBurauMatrices:
             unreduced_burau([3], 3)
         with pytest.raises(ValueError):
             braid_permutation([0], 2)
+
+
+def laplace(m):
+    """The determinant by expansion along the first row."""
+    if not m:
+        return ONE
+    total = ZERO
+    for j, x in enumerate(m[0]):
+        minor = laplace([row[:j] + row[j + 1:] for row in m[1:]])
+        total = total + (x * minor if j % 2 == 0 else -(x * minor))
+    return total
+
+
+class TestDeterminant:
+    def test_zero_leading_pivot(self):
+        assert oracle._det([[ZERO, ONE], [ONE, ZERO]]) == -ONE
+
+    def test_singular(self):
+        assert oracle._det([[T, ONE], [T * T, T]]) == ZERO
+        assert oracle._det([[ZERO, ONE, T], [ZERO, T, ONE],
+                            [ZERO, ONE, ONE]]) == ZERO
+
+    def test_matches_expansion(self):
+        # sparse entries make zero pivots and row swaps common
+        rng = random.Random(3)
+        entries = [ZERO, ZERO, ONE, -ONE, T, LaurentPoly({-1: 2, 2: -1})]
+        for _ in range(400):
+            n = rng.randint(0, 5)
+            m = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+            assert oracle._det(m) == laplace(m), m
 
 
 class TestClosureCounting:

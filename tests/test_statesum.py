@@ -1,6 +1,7 @@
 """Expansion tables, both evaluators, and the move identities."""
 
 import ast
+import importlib.util
 import inspect
 import os
 import random
@@ -610,7 +611,9 @@ class TestPacking:
 
     @staticmethod
     def all_scattered(tables=None):
-        return {key: table._replace(form=statesum.SCATTER)
+        return {key: table._replace(
+                    form=statesum.SCATTER,
+                    back=table.back._replace(form=statesum.SCATTER))
                 for key, table in (tables or statesum._kernel_tables()).items()}
 
     def test_crossing_out_of_shape_is_scattered(self):
@@ -765,6 +768,108 @@ class TestSchedule:
         want = [evaluate_dp(w) for w in words]
         with self.unscheduled():
             assert [evaluate_dp(w) for w in words] == want
+
+
+class TestMeet:
+    """The top part of the step list runs backward from the output keys."""
+
+    @staticmethod
+    def assert_every_split_agrees(w):
+        steps = statesum._schedule(statesum._steps(w))
+        want = evaluate_dp(w)
+        for t in range(len(steps) + 1):
+            with mock.patch.object(statesum, "_split",
+                                   lambda steps, top, t=t: t):
+                assert evaluate_dp(w) == want, (str(w), t)
+
+    @settings(max_examples=80, deadline=None)
+    @given(morse_words())
+    def test_every_split_agrees(self, w):
+        assume(w.endpoint_count - w.bottom_count <= 1)
+        self.assert_every_split_agrees(w)
+
+    def test_every_split_agrees_on_two_endpoint_words(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            self.assert_every_split_agrees(random_word(rng, bottom=1))
+
+    def test_braid_closure_runs_both_ways(self):
+        w = braid_to_tangle((1, -2, 3, 1, -2, 3), 4)
+        want = evaluate_dp(w)
+        with mock.patch.object(statesum, "_sweep",
+                               wraps=statesum._sweep) as sweep:
+            assert evaluate_dp(w) == want
+        assert [len(call.args[1]) for call in sweep.call_args_list] == [6, 6]
+
+    def test_back_tables(self):
+        tables = statesum._kernel_tables()
+        assert len(tables) == 10
+        for key, table in tables.items():
+            consumed = key != tangle.CUP
+            back = table.back
+            want = {tangle.CUP: statesum.FAN_IN,
+                    tangle.CAP: statesum.FAN_OUT}.get(key, table.form)
+            assert back.form == want, key
+            assert back.shift == table.shift, key
+            assert back.back is None, key
+            assert statesum._transpose(back.rows, consumed) == table.rows, key
+
+    def test_block_back_swaps_the_odd_entries(self):
+        # the transposed odd block trades lo -> hi for hi -> lo
+        for key, table in statesum._kernel_tables().items():
+            if table.form is not statesum.BLOCK:
+                continue
+            d0, d3, lo, b, c, d = statesum._operands(table.form, table.rows)
+            assert statesum._operands(table.back.form, table.back.rows) == (
+                d0, d3, lo, c, b, d), key
+
+    def test_fewer_live_keys_on_warm_braids(self):
+        # the keys each step reads, summed over the first 150 braids of the
+        # seed-1 knot-batch-warm stream; counts, not times (364,349 against
+        # 620,157 forward only when this was written)
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_gen",
+            os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                         "gen.py"))
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        rng = random.Random("knot-batch-warm/1/timed")
+        words = [braid_to_tangle(gen.knot_braid(rng, 6, 19), 6)
+                 for _ in range(150)]
+        sweep = statesum._sweep
+
+        def live_key_steps():
+            count = 0
+
+            def counted(state, steps, tables, operands):
+                nonlocal count
+                for step in steps:
+                    count += len(state)
+                    state = sweep(state, [step], tables, operands)
+                return state
+
+            with mock.patch.object(statesum, "_sweep", counted):
+                for w in words:
+                    evaluate_dp(w)
+            return count
+
+        met = live_key_steps()
+        with mock.patch.object(statesum, "_split",
+                               lambda steps, top: len(steps)):
+            forward = live_key_steps()
+        assert met <= 0.7 * forward, (met, forward)
+
+    def test_dp_alexander_matches_burau_at_10_and_11_strands(self):
+        # the first two rows past perfbench's --scaling table
+        rng = random.Random(1110)
+        for n in (10, 11):
+            while True:
+                word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                        for _ in range(3 * n + 1)]
+                if closure_components(word, n) == 1:
+                    break
+            res = alexander_polynomial(braid_to_tangle(word, n))
+            assert res.alexander == alexander_via_burau(word, n), (word, n)
 
 
 class TestBoundedMemory:
