@@ -27,14 +27,38 @@ reaches an interior vertex is killed.  The rewrite reads only a state's cut
 (the ``ends``), never what is closed off below it, so the states are kept
 grouped by cut, each cut with its raw state count, and a slice rewrites
 each distinct cut once: the cup shift, the corners' state-side ends and the
-loop test are done once, then every term of the table is applied, and terms
-giving the same picture are merged into one outcome with their summed
-coefficient (the 7-term table's two all-tick pictures become one, -(q +
-q^-1)).  Each state of the cut then goes to each nonzero outcome with one
-``LaurentPoly`` product.  Each surviving term forwards the cut's raw count
-to its own new cut, and each killed term counts it times 7 or 5 to the
-number of crossings left, so the total is exactly 7^c or 5^c; states whose
-coefficients cancel are dropped, and their count stays on the cut.
+loop test are done once, then the terms are applied, and each state of the
+cut goes to each resulting picture with one ``LaurentPoly`` product.
+
+Which terms of a table give the same picture, and which are killed, is
+decided by the cut's pattern at the piece alone.  For a consumed pair that
+is one strand, the pattern is the loop and the strand's dot; otherwise it
+is, for each of the two consumed corners, whether its state-side end is
+interior and its dot (an interior end is never dotted).  That is 11
+patterns for a crossing or a cap, and a cup has one.  The reason: a term's
+picture is its set of joins, each a pair of ends with a dot or an end with
+an interior vertex, and a kill is decided by the dots and the interior ends
+alone.  Every end that is not interior is a distinct bottom point or cut
+position, written at its own place in the picture, so distinct joins of
+such ends give distinct pictures on every cut; interior ends are all alike,
+so which joins coincide depends on which ends are interior.  So for each
+(table, pattern) a plan is derived once, on a sample cut whose ends that
+are not interior are distinct bottom points: one representative term per
+picture, carrying the picture's summed coefficient and its term count n
+(the 7-term table's two all-tick pictures become one, -(q + q^-1)); the
+number of killed terms; and the number of terms whose pictures sum to zero.
+On a loop pattern ``_apply_terms`` negates a term closing the loop, so the
+representative stores the sum with that sign applied once more.
+``_apply_terms`` stays the one rewrite and applies only the
+representatives.  The plans are derived in full on the first naive
+expansion (``_naive_plans``); the dp never reads them.
+
+Each picture forwards the cut's raw count times n to its new cut.  Killed
+terms and terms whose pictures sum to zero count it times 7 or 5 to the
+number of crossings left, into the pruned tally, and so does a cut whose
+states all cancel after a slice: it adds nothing to the vector, so it is
+retired and not rewritten again.  So the total is exactly 7^c or 5^c, and
+it is checked on every cut that carries a state.
 
 ``evaluate_dp`` composes slice by slice in the quotient space, carrying
 coordinates in the canonical dotted basis: at most 2^(width+bottom-1) keys
@@ -149,6 +173,7 @@ class TableTerm(NamedTuple):
     coeff: LaurentPoly
     chords: tuple     # ((corner, corner, dotted), ...)
     ticks: frozenset  # of corners
+    n: int = 1        # table terms it stands for (a plan's merged terms)
 
 
 def _term(coeff, chords, ticks):
@@ -238,8 +263,9 @@ def _apply_terms(ends, where, terms, consumed, produced):
     Returns (outcomes, killed): ``outcomes`` maps (ends', added), the new
     cut and the frozenset of items the term closes off among the bottom
     points, to [summed signed coefficient, number of terms]; ``killed`` is
-    the number of killed terms.  Terms giving the same picture are merged
-    into one outcome, which may sum to zero.
+    the number of killed terms.  A term counts as ``term.n`` terms (a plan's
+    representative stands for the n terms of its picture).  Terms giving
+    the same picture are merged into one outcome, which may sum to zero.
 
     The rewrite is the one the module docstring describes.  The cup shift,
     the corners' state-side ends and the loop test are done once for the
@@ -273,7 +299,7 @@ def _apply_terms(ends, where, terms, consumed, produced):
             joins = [j for j in joins if j[0] is not None and j[1] is not None]
             if len(merged) == 1:           # the chord (0, 1): a closed loop
                 if not (loop or merged[0][2]):
-                    killed += 1
+                    killed += term.n
                     continue
                 coeff = -coeff
             else:
@@ -313,13 +339,101 @@ def _apply_terms(ends, where, terms, consumed, produced):
             key = (tuple(out), frozenset(added))
             acc = outcomes.get(key)
             if acc is None:
-                outcomes[key] = [coeff, 1]
+                outcomes[key] = [coeff, term.n]
             else:
                 acc[0] = acc[0] + coeff
-                acc[1] += 1
+                acc[1] += term.n
             continue
-        killed += 1                        # a dotted path met a tick
+        killed += term.n                   # a dotted path met a tick
     return outcomes, killed
+
+
+# ---------------------------------------------------------------------------
+# naive plans: the terms of a table merged by the picture they give
+#
+# Which terms of a table give one picture, and which are killed, depends only
+# on the cut's pattern at the piece (see the module docstring), so the merge
+# is done once per (table, pattern), not once per cut.
+
+# the state-side end of a consumed corner as (interior, dot); an interior end
+# is never dotted
+_END_KINDS = ((True, False), (False, False), (False, True))
+# the 11 patterns of a crossing or a cap: a loop with its dot, or the kinds
+# of the two consumed corners' ends; a cup's one pattern is None
+_PATTERNS = (tuple(("loop", dot) for dot in (False, True))
+             + tuple(a + b for a in _END_KINDS for b in _END_KINDS))
+
+
+def _pattern(ends, where, consumed):
+    """The pattern of a cut at the piece whose left corner is ``where``."""
+    if not consumed:
+        return None
+    a, b = ends[where], ends[where + 1]
+    if a[0] == "c" and a[1] == where + 1:
+        return ("loop", a[2])
+    return (a[0] == "t", a[2], b[0] == "t", b[2])
+
+
+def _sample_cut(pattern):
+    """A cut with ``pattern`` at position 0: width 2 for a crossing or a cap,
+    empty for a cup.  Its ends that are not interior are distinct bottom
+    points, so distinct joins give distinct pictures."""
+    if pattern is None:
+        return ()
+    if pattern[0] == "loop":
+        return (("c", 1, pattern[1]), ("c", 0, pattern[1]))
+    t0, d0, t1, d1 = pattern
+    return (_INTERIOR if t0 else ("b", 1, d0),
+            _INTERIOR if t1 else ("b", 2, d1))
+
+
+class _Plan(NamedTuple):
+    terms: tuple    # one term per picture whose terms do not sum to zero
+    killed: int     # terms killed on the pattern
+    zero: int       # terms whose pictures sum to zero
+
+
+def _plan(terms, consumed, produced, pattern) -> _Plan:
+    """Merge ``terms`` by the picture each gives on the sample cut of
+    ``pattern``.  A picture keeps its first term, with the picture's term
+    count as n and its summed coefficient times the sign ``_apply_terms``
+    gives that term (-1 when it closes a dotted loop), so applying it gives
+    the summed coefficient back."""
+    ends = _sample_cut(pattern)
+    pictures = {}
+    killed = 0
+    for term in terms:
+        unit, dead = _apply_terms(ends, 0, (term._replace(coeff=ONE),),
+                                  consumed, produced)
+        killed += dead
+        for key, (sign, n) in unit.items():
+            picture = pictures.setdefault(key, [term, sign, ZERO, 0])
+            picture[2] = picture[2] + term.coeff * sign
+            picture[3] += n
+    kept, zero = [], 0
+    for first, sign, coeff, n in pictures.values():
+        if coeff:
+            kept.append(first._replace(coeff=coeff * sign, n=n))
+        else:
+            zero += n
+    return _Plan(tuple(kept), killed, zero)
+
+
+@lru_cache(maxsize=1)
+def _naive_plans(tables: ExpansionTable) -> dict:
+    """plans[dotted][key][pattern] for every slice the naive expansion
+    applies, key a crossing's (sign, rot), CUP or CAP.  Derived in full on
+    the first naive expansion, not at import; the dp never reads them."""
+    plans = {}
+    for dotted, crossings in ((False, tables.seven), (True, tables.five)):
+        slices = {key: (terms, True, True) for key, terms in crossings.items()}
+        slices[CUP] = (_CUP_TERM_PLAIN, False, True)
+        slices[CAP] = (_CAP_TERM, True, False)
+        plans[dotted] = {
+            key: {pattern: _plan(terms, consumed, produced, pattern)
+                  for pattern in (_PATTERNS if consumed else (None,))}
+            for key, (terms, consumed, produced) in slices.items()}
+    return plans
 
 
 def _finalize(ends, done, bottom_count: int) -> FlatDiagram:
@@ -354,11 +468,16 @@ def _finalize(ends, done, bottom_count: int) -> FlatDiagram:
 def expand_states(word: MorseWord, dotted: bool = False):
     """Expand every crossing by its table and reduce each state.
 
-    Returns (DiagramVector, raw_state_count); the count includes states that
-    were pruned, so it always equals (7 or 5)^(number of crossings).
+    The states are grouped by cut, and each cut is rewritten once per slice
+    through the plan of its pattern (see the module docstring).  Returns
+    (DiagramVector, raw_state_count); the count includes the states pruned:
+    those of killed terms, of pictures whose terms sum to zero and of cuts
+    whose states all cancelled, each counted times the states the crossings
+    left would have made.  So it always equals (7 or 5)^(number of
+    crossings), and ``ConsistencyError`` is raised if it does not.
     """
     an = analyze(word)
-    tables = base_tables().five if dotted else base_tables().seven
+    plans = _naive_plans(base_tables())[dotted]
     branch = 5 if dotted else 7
     k = word.bottom_count
 
@@ -374,27 +493,28 @@ def expand_states(word: MorseWord, dotted: bool = False):
     for t, sl in enumerate(word.slices):
         after = branch ** suffix[t + 1]
         if sl.kind == CUP:
-            terms, consumed, produced = _CUP_TERM_PLAIN, False, True
+            table, consumed, produced = plans[CUP], False, True
         elif sl.kind == CAP:
-            terms, consumed, produced = _CAP_TERM, True, False
+            table, consumed, produced = plans[CAP], True, False
         else:
             info = next(ci)
-            terms = tables[(info.sign, info.rot)]
+            table = plans[(info.sign, info.rot)]
             consumed = produced = True
         where = sl.pos - 1
         new = {}
         for ends, (count, states) in cuts.items():
-            outcomes, dead = _apply_terms(ends, where, terms, consumed,
-                                          produced)
-            killed += dead * count * after
+            plan = table[_pattern(ends, where, consumed)]
+            # no term of a plan is killed on its pattern: one that were would
+            # leave the state count short, and the check below would raise
+            outcomes, _ = _apply_terms(ends, where, plan.terms, consumed,
+                                       produced)
+            killed += (plan.killed + plan.zero) * count * after
             for (e2, added), (c, n) in outcomes.items():
-                # each term forwards the cut's raw count to its own target
+                # each picture forwards the cut's raw count to its own target
                 cut = new.get(e2)
                 if cut is None:
                     cut = new[e2] = [0, {}]
                 cut[0] += n * count
-                if not c:
-                    continue
                 target = cut[1]
                 for done, coeff in states.items():
                     if added:
@@ -402,10 +522,15 @@ def expand_states(word: MorseWord, dotted: bool = False):
                     p = coeff * c
                     old = target.get(done)
                     target[done] = p if old is None else old + p
-        # cancelled states are dropped; their raw count stays on the cut
-        for cut in new.values():
-            cut[1] = {done: c for done, c in cut[1].items() if c}
-        cuts = new
+        # cancelled states are dropped, and a cut left with none is retired:
+        # its raw count goes to the pruned tally and it is not rewritten again
+        cuts = {}
+        for e2, (count, states) in new.items():
+            states = {done: c for done, c in states.items() if c}
+            if states:
+                cuts[e2] = [count, states]
+            else:
+                killed += count * after
     vec = DiagramVector(word.endpoint_count)
     total = killed
     for ends, (count, states) in cuts.items():

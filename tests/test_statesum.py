@@ -7,7 +7,6 @@ import os
 import random
 import subprocess
 import sys
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -217,6 +216,23 @@ class TestKernel:
                              capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["0", "1"]
 
+    def test_dp_never_derives_the_naive_plans(self):
+        code = ("import tanglex\n"
+                "from tanglex import statesum\n"
+                "plans = statesum._naive_plans.cache_info\n"
+                "print(plans().currsize)\n"
+                "w = tanglex.braid_to_tangle([1, 1, 1], 2)\n"
+                "statesum.evaluate_dp(w)\n"
+                "tanglex.alexander_polynomial(w)\n"
+                "print(plans().currsize)\n"
+                "statesum.expand_states(w)\n"
+                "print(plans().currsize)\n")
+        src = os.path.dirname(os.path.dirname(tanglex.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["0", "0", "1"]
+
     # bottoms of 2 and more put spectator bits on both sides of a pair, so
     # the sign twist is exercised
     @settings(max_examples=150, deadline=None)
@@ -387,14 +403,109 @@ class TestApplyPiece:
         outcomes, killed = statesum._apply_terms(ends, 0, terms, True, True)
         assert killed == 0
         assert list(outcomes.values()) == [[LaurentPoly.zero(), 7]]
-        # each cut of a word expanded by it holds no state, and still
-        # forwards its raw count to the next slice
-        tables = SimpleNamespace(seven={(s, r): terms for s in (1, -1)
-                                        for r in range(4)})
+        # a word expanded by it keeps no cut after the first slice: the dead
+        # cut is not rewritten again, and its raw count is still counted
+        tables = statesum.ExpansionTable()
+        tables.seven = {(s, r): terms for s in (1, -1) for r in range(4)}
         w = parse("bottom 2 up up; x+ 1; x+ 1;")
         with mock.patch.object(statesum, "base_tables", lambda: tables):
-            v, count = expand_states(w)
+            statesum._naive_plans(tables)    # derived outside the count
+            with mock.patch.object(statesum, "_apply_terms",
+                                   wraps=statesum._apply_terms) as apply:
+                v, count = expand_states(w)
         assert v.is_zero() and count == 49
+        (call,) = apply.call_args_list
+        assert call.args[:2] == (ends, 0)
+
+
+class TestPlans:
+    """Each (table, pattern) plan, applied to concrete cuts of its pattern,
+    gives what every term of the table gives."""
+
+    @staticmethod
+    def cuts(pattern):
+        """(ends, where) realizing ``pattern``: the consumed corners' ends as
+        bottom points, as cut partners, and beside spectator strands."""
+        if pattern is None:                          # a cup
+            spectators = [("c", 2, False), ("b", 1, False), ("c", 0, False)]
+            return [((), 0), (tuple(spectators), 2), (tuple(spectators), 0)]
+        if pattern[0] == "loop":
+            d = pattern[1]
+            return [((("c", 1, d), ("c", 0, d), ("b", 1, False)), 0),
+                    ((("c", 3, False), ("c", 2, d), ("c", 1, d),
+                      ("c", 0, False), ("b", 1, True)), 1)]
+        kinds = (pattern[:2], pattern[2:])
+        # the corners at 0 and 1, their ends bottom points 1 and 2, and a
+        # dotted strand from bottom point 3
+        first = [statesum._INTERIOR if t else ("b", 1 + i, d)
+                 for i, (t, d) in enumerate(kinds)] + [("b", 3, True)]
+        # a strand from bottom point 1 at 0, the corners at 1 and 2, their
+        # ends cut partners further right
+        second = [("b", 1, False), None, None]
+        for i, (t, d) in enumerate(kinds):
+            if t:
+                second[1 + i] = statesum._INTERIOR
+            else:
+                second[1 + i] = ("c", len(second), d)
+                second.append(("c", 1 + i, d))
+        # corner 0's end a cut partner on the left, corner 1's a bottom
+        # point, inside a spectator cut pair
+        t0, d0 = kinds[0]
+        t1, d1 = kinds[1]
+        third = [statesum._INTERIOR if t0 else ("c", 2, d0), ("c", 5, True),
+                 statesum._INTERIOR if t0 else ("c", 0, d0),
+                 statesum._INTERIOR if t1 else ("b", 2, d1),
+                 ("b", 1, False), ("c", 1, True)]
+        return [(tuple(first), 0), (tuple(second), 1), (tuple(third), 2)]
+
+    @staticmethod
+    def slices():
+        """(plan key, terms, consumed, produced, dotted) for every table."""
+        out = []
+        for dotted, tables in ((False, base_tables().seven),
+                               (True, base_tables().five)):
+            out += [(key, terms, True, True, dotted)
+                    for key, terms in tables.items()]
+            out += [(tangle.CUP, statesum._CUP_TERM_PLAIN, False, True,
+                     dotted),
+                    (tangle.CAP, statesum._CAP_TERM, True, False, dotted)]
+        return out
+
+    def test_plans_match_every_term(self):
+        plans = statesum._naive_plans(base_tables())
+        for key, terms, consumed, produced, dotted in self.slices():
+            patterns = statesum._PATTERNS if consumed else (None,)
+            seen = set()
+            for pattern in patterns:
+                for ends, where in self.cuts(pattern):
+                    read = statesum._pattern(ends, where, consumed)
+                    seen.add(read)
+                    plan = plans[dotted][key][read]
+                    full, killed = statesum._apply_terms(
+                        ends, where, terms, consumed, produced)
+                    got, dead = statesum._apply_terms(
+                        ends, where, plan.terms, consumed, produced)
+                    case = (key, dotted, ends, where)
+                    assert dead == 0, case
+                    assert got == {k: v for k, v in full.items() if v[0]}, case
+                    assert plan.killed == killed, case
+                    assert plan.zero == sum(n for c, n in full.values()
+                                            if not c), case
+                    assert sum(n for _, n in got.values()) + killed \
+                        + plan.zero == len(terms), case
+            assert seen == set(patterns), key
+        assert len(statesum._PATTERNS) == 11
+
+    def test_plans_merge_terms(self):
+        # on two undotted strands the 7-term table's two all-tick pictures
+        # are one term; with both ends interior, all seven terms are one
+        plans = statesum._naive_plans(base_tables())[False][(1, 0)]
+        plan = plans[(False, False, False, False)]
+        assert (len(plan.terms), plan.killed, plan.zero) == (6, 0, 0)
+        assert [t.n for t in plan.terms] == [1, 1, 1, 2, 1, 1]
+        assert plan.terms[3].coeff == -Q - QI
+        (term,) = plans[(True, False, True, False)].terms
+        assert term.n == 7 and term.coeff == -QI
 
 
 def reference_coordinates(v):
@@ -876,7 +987,8 @@ class TestBoundedMemory:
     @staticmethod
     def module_cache_sizes():
         sizes = {}
-        for mod in (tangle, statesum):
+        for mod in (tangle, statesum, diagram, laurent, oracle, invariant,
+                    checks, cli):
             for name, obj in vars(mod).items():
                 info = getattr(obj, "cache_info", None)
                 if callable(info):
@@ -887,7 +999,10 @@ class TestBoundedMemory:
 
     def test_no_module_level_cache_grows(self):
         rng = random.Random(5)
-        evaluate_dp(random_word(rng))   # derives the kernel tables once
+        w = random_word(rng)
+        evaluate_dp(w)                  # derives the kernel tables once
+        expand_states(w)                # and the naive plans
+        expand_states(w, dotted=True)
         before = self.module_cache_sizes()
         words = set()
         while len(words) < 500:
@@ -899,6 +1014,7 @@ class TestBoundedMemory:
             evaluate_dp(w)
             expand_states(w)
             expand_states(w, dotted=True)
+            tanglex.tangle_invariant(w, "both")
         assert self.module_cache_sizes() == before
         assert not hasattr(tangle.analyze, "cache_info")
 
