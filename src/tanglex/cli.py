@@ -18,7 +18,9 @@ Exit codes: 0 ok, 1 check-suite failure, 2 bad input (including a negative
 class vectors differ, for alexander as for vector), 4 oracle mismatch,
 5 internal error (alexander or vector: a ConsistencyError the library raised
 while evaluating, such as a 2-endpoint class vector whose two coordinates
-differ, which is how a wrong delta shows on any evaluator).
+differ, which is how a wrong delta shows on any evaluator; alexander --oracle:
+an OracleError other than a multi-component closure, or a non-exact division,
+raised by the Burau oracle).
 """
 
 from __future__ import annotations
@@ -81,6 +83,11 @@ def cmd_alexander(args) -> int:
                 oracle_val = oracle_mod.alexander_via_burau(braid, args.strands)
             except oracle_mod.MultiComponentClosureError:
                 oracle_note = "oracle unavailable: multi-component closure"
+            except (oracle_mod.OracleError, ValueError) as exc:
+                # the braid was read and evaluated already, so a failed
+                # normalization or a non-exact division is the oracle's fault
+                print(f"internal error: oracle: {exc}", file=sys.stderr)
+                return INTERNAL_ERROR
 
     if args.format == "json":
         doc = {"delta": res.delta.to_json(), "tau": res.tau,

@@ -50,8 +50,9 @@ number of killed terms; and the number of terms whose pictures sum to zero.
 On a loop pattern ``_apply_terms`` negates a term closing the loop, so the
 representative stores the sum with that sign applied once more.
 ``_apply_terms`` stays the one rewrite and applies only the
-representatives.  The plans are derived in full on the first naive
-expansion (``_naive_plans``); the dp never reads them.
+representatives.  The plans of the 7-term and of the 5-term tables are
+each derived on the first naive expansion that reads them
+(``_naive_plans``); the dp never reads them.
 
 Each picture forwards the cut's raw count times n to its new cut.  Killed
 terms and terms whose pictures sum to zero count it times 7 or 5 to the
@@ -71,7 +72,8 @@ pair 00 <-> 11, a cap destroying 11, a cup creating 11), a twist
 (-1)^(floor(lo/2) + floor(hi/2)), where lo / hi count the key's bits below /
 above the pair.  The local tables are derived from the 5-term tables by
 diagram surgery on a 3-point cut, once, on the first dp evaluation; no
-transition cache is kept.
+transition cache is kept, and the one slot of packed tables described below
+is all the dp keeps between evaluations.
 
 The dp's work at a slice grows with the live keys at its cut, about
 2^(bottom + width), and ``braid_to_tangle`` puts every cup before the braid
@@ -104,6 +106,18 @@ the result is bounded by M = 2^bottom * prod(row norms).  With
 B = bitlength(M) + 1, the coefficients are the unique balanced base-2^B
 digits of the int, in [-2^(B-1), 2^(B-1)), read once per key at the end,
 from exponent -(sum of s) upward in steps of 2.
+
+B depends only on the bottom count and the row norms of the word's slices,
+so words of one shape share it (B = 38 for every 6-strand 19-letter knot
+braid).  So ``evaluate_dp`` keeps one slot (``_slot``): the operands of
+each table of the set it last ran with, packed at the last B, forward and
+transposed, each table packed the first time a word reads it.  The slot
+holds the table set itself and compares it with ``is``: a caller that
+substitutes other tables at the same B, even the same rows in another form,
+gets its own operands.  A word at the same B on the same tables packs
+nothing; one at another B, or on other tables, replaces the slot.  So it
+never holds more than one table set packed both ways, however many and
+however varied the words.
 
 Every table keeps the parity of its pair (the even block is 00/11, the odd
 block 01/10), so each output coefficient of a slice reads at most one key
@@ -419,21 +433,19 @@ def _plan(terms, consumed, produced, pattern) -> _Plan:
     return _Plan(tuple(kept), killed, zero)
 
 
-@lru_cache(maxsize=1)
-def _naive_plans(tables: ExpansionTable) -> dict:
-    """plans[dotted][key][pattern] for every slice the naive expansion
-    applies, key a crossing's (sign, rot), CUP or CAP.  Derived in full on
-    the first naive expansion, not at import; the dp never reads them."""
-    plans = {}
-    for dotted, crossings in ((False, tables.seven), (True, tables.five)):
-        slices = {key: (terms, True, True) for key, terms in crossings.items()}
-        slices[CUP] = (_CUP_TERM_PLAIN, False, True)
-        slices[CAP] = (_CAP_TERM, True, False)
-        plans[dotted] = {
-            key: {pattern: _plan(terms, consumed, produced, pattern)
+@lru_cache(maxsize=2)
+def _naive_plans(tables: ExpansionTable, dotted: bool) -> dict:
+    """plans[key][pattern] for every slice the naive expansion applies with
+    the 5-term (dotted) or the 7-term crossing tables, key a crossing's
+    (sign, rot), CUP or CAP.  Each set is derived on the first naive
+    expansion that reads it, not at import; the dp never reads them."""
+    crossings = tables.five if dotted else tables.seven
+    slices = {key: (terms, True, True) for key, terms in crossings.items()}
+    slices[CUP] = (_CUP_TERM_PLAIN, False, True)
+    slices[CAP] = (_CAP_TERM, True, False)
+    return {key: {pattern: _plan(terms, consumed, produced, pattern)
                   for pattern in (_PATTERNS if consumed else (None,))}
             for key, (terms, consumed, produced) in slices.items()}
-    return plans
 
 
 def _finalize(ends, done, bottom_count: int) -> FlatDiagram:
@@ -477,7 +489,7 @@ def expand_states(word: MorseWord, dotted: bool = False):
     crossings), and ``ConsistencyError`` is raised if it does not.
     """
     an = analyze(word)
-    plans = _naive_plans(base_tables())[dotted]
+    plans = _naive_plans(base_tables(), dotted)
     branch = 5 if dotted else 7
     k = word.bottom_count
 
@@ -754,10 +766,35 @@ def _operands(form: str, rows) -> tuple:
     return rows
 
 
-def _packed(tables: dict, width: int) -> dict:
-    """The kernel's operands of each table, packed at q^2 = 2^width."""
-    return {key: _operands(table.form, _pack(table, width))
-            for key, table in tables.items()}
+class _Packed(dict):
+    """The kernel's operands of each table of ``tables``, packed at
+    q^2 = 2^width, by table key; a table is packed on its first read."""
+
+    def __init__(self, tables: dict, width: int):
+        super().__init__()
+        self.tables = tables
+        self.width = width
+
+    def __missing__(self, key):
+        table = self.tables[key]
+        ops = self[key] = _operands(table.form, _pack(table, self.width))
+        return ops
+
+
+# (forward, back): the operands of the last table set evaluate_dp ran with
+# and of their transposes, at the last digit width (see the module docstring)
+_slot = None
+
+
+def _packing(tables: dict, width: int) -> tuple:
+    """The slot for ``tables`` at ``width``, replacing the one held when
+    either differs."""
+    global _slot
+    slot = _slot       # read once: a word keeps the slot it started with
+    if slot is None or slot[0].tables is not tables or slot[0].width != width:
+        back = {key: table.back for key, table in tables.items()}
+        slot = _slot = (_Packed(tables, width), _Packed(back, width))
+    return slot
 
 
 def _steps(word: MorseWord) -> list:
@@ -929,17 +966,16 @@ def evaluate_dp(word: MorseWord) -> ClassVector:
             if bits >> p & 1:
                 key |= (1 << p) | (1 << (2 * k - 1 - p))
         state[key] = 1
-    forward = {key: tables[key] for key, _, _, _ in steps[:split]}
-    state = _sweep(state, steps[:split], forward, _packed(forward, width))
+    forward, back = _packing(tables, width)
+    state = _sweep(state, steps[:split], tables, forward)
     if split < len(steps):
         # the costate, seeded with 1 on every output key, one per sector
-        back = {key: tables[key].back for key, _, _, _ in steps[split:]}
         costate = _sweep(
             {key: 1 for key in range(1 << (k + top))
              if not key.bit_count() & 1},
             [(key, ib, width_out, width_in)
              for key, ib, width_in, width_out in reversed(steps[split:])],
-            back, _packed(back, width))
+            back.tables, back)
         low_mask = (1 << k) - 1
         meet = {}
         for key, x in state.items():

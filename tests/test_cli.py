@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 import tanglex
-from tanglex import checks, diagram, invariant, statesum
+from tanglex import checks, diagram, invariant, oracle, statesum
 from tanglex.cli import main
 from tanglex.invariant import EvaluatorMismatchError
 from tanglex.laurent import LaurentPoly
@@ -208,6 +208,21 @@ class TestInternalErrors:
                                lambda word: evaluate(word) + tick):
             code, out, err = run(capsys, "alexander", "--evaluator", "naive",
                                  "--braid", "1 1 1", "--strands", "2")
+        assert code == 5 and out == ""
+        assert err.startswith("internal error: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("name, patch", [
+        # the normalization finds no symmetric unit multiple
+        ("normalize_symmetric", dict(side_effect=oracle.OracleError(
+            "polynomial is not symmetric up to a unit"))),
+        # det(I - R) = 1 is not divisible by 1 + t
+        ("_det", dict(return_value=LaurentPoly.one())),
+    ])
+    def test_oracle_failure_exit_5(self, capsys, name, patch):
+        with mock.patch.object(oracle, name, **patch):
+            code, out, err = run(capsys, "alexander", "--braid", "1 1 1",
+                                 "--strands", "2", "--oracle")
         assert code == 5 and out == ""
         assert err.startswith("internal error: ")
         assert len(err.splitlines()) == 1

@@ -409,7 +409,7 @@ class TestApplyPiece:
         tables.seven = {(s, r): terms for s in (1, -1) for r in range(4)}
         w = parse("bottom 2 up up; x+ 1; x+ 1;")
         with mock.patch.object(statesum, "base_tables", lambda: tables):
-            statesum._naive_plans(tables)    # derived outside the count
+            statesum._naive_plans(tables, False)   # derived outside the count
             with mock.patch.object(statesum, "_apply_terms",
                                    wraps=statesum._apply_terms) as apply:
                 v, count = expand_states(w)
@@ -472,15 +472,15 @@ class TestPlans:
         return out
 
     def test_plans_match_every_term(self):
-        plans = statesum._naive_plans(base_tables())
         for key, terms, consumed, produced, dotted in self.slices():
+            plans = statesum._naive_plans(base_tables(), dotted)[key]
             patterns = statesum._PATTERNS if consumed else (None,)
             seen = set()
             for pattern in patterns:
                 for ends, where in self.cuts(pattern):
                     read = statesum._pattern(ends, where, consumed)
                     seen.add(read)
-                    plan = plans[dotted][key][read]
+                    plan = plans[read]
                     full, killed = statesum._apply_terms(
                         ends, where, terms, consumed, produced)
                     got, dead = statesum._apply_terms(
@@ -499,7 +499,7 @@ class TestPlans:
     def test_plans_merge_terms(self):
         # on two undotted strands the 7-term table's two all-tick pictures
         # are one term; with both ends interior, all seven terms are one
-        plans = statesum._naive_plans(base_tables())[False][(1, 0)]
+        plans = statesum._naive_plans(base_tables(), False)[(1, 0)]
         plan = plans[(False, False, False, False)]
         assert (len(plan.terms), plan.killed, plan.zero) == (6, 0, 0)
         assert [t.n for t in plan.terms] == [1, 1, 1, 2, 1, 1]
@@ -825,6 +825,74 @@ class TestPacking:
                     break
             res = alexander_polynomial(braid_to_tangle(word, n))
             assert res.alexander == alexander_via_burau(word, n), (word, n)
+
+    # two 6-strand knot braids of 19 letters, gen.knot_braid(Random(0), 6,
+    # 19) twice: both have digit width 38, and the second reads no table the
+    # first did not
+    SAME_WIDTH = ((3, 1, 5, 1, -1, 4, 1, -5, -4, -3, -2, -3, -1, -2, -5, -2,
+                   -2, 2, 5),
+                  (-3, -1, -3, -5, 1, 1, 3, 2, 2, -5, 3, -3, 4, 5, 2, 3, -1,
+                   -4, -2))
+
+    def test_second_word_at_a_width_packs_nothing(self):
+        first, second = (braid_to_tangle(word, 6) for word in self.SAME_WIDTH)
+        with mock.patch.object(statesum, "_slot", None):    # an empty slot
+            evaluate_dp(first)
+            with mock.patch.object(statesum, "_encode",
+                                   wraps=statesum._encode) as encode:
+                got = alexander_polynomial(second).alexander
+            assert statesum._slot[0].width == 38
+        assert encode.call_count == 0
+        assert got == alexander_via_burau(self.SAME_WIDTH[1], 6)
+
+    def test_table_sets_at_one_width_keep_their_own_operands(self):
+        # one word under three table sets of one digit width, interleaved:
+        # the scattered set holds the real rows in another form, the edited
+        # one negated cup and cap rows, and neither may read the operands
+        # packed for another
+        w = braid_to_tangle((1, -2, 1, -2, 3, 2, -3), 4)
+        want = coordinates(evaluate_naive(w))
+        flips = sum(sl.kind in (tangle.CUP, tangle.CAP) for sl in w.slices)
+
+        def negate(rows):
+            return tuple(tuple(tuple((out, -c) for out, c in part)
+                               for part in row) for row in rows)
+
+        edited = self.edited(tangle.CUP, negate)
+        edited[tangle.CAP] = self.edited(tangle.CAP, negate)[tangle.CAP]
+        sets = [(statesum._kernel_tables(), want),
+                (self.all_scattered(), want),
+                (edited, want.scale(-ONE if flips % 2 else ONE))]
+        widths = set()
+        for tables, expected in sets + sets[::-1] + sets:
+            with self.patched(tables):
+                assert evaluate_dp(w) == expected
+            assert statesum._slot[0].tables is tables
+            widths.add(statesum._slot[0].width)
+        assert len(widths) == 1
+
+    def test_words_at_three_widths_interleaved(self):
+        # each word replaces the slot of the one before it, twice over
+        rng = random.Random(17)
+        cases = []
+        for n in (3, 5, 7):
+            while True:
+                word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                        for _ in range(3 * n + 1)]
+                if closure_components(word, n) == 1:
+                    break
+            cases.append((braid_to_tangle(word, n),
+                          alexander_via_burau(word, n)))
+        words = [random_word(rng, max_crossings=4, bottom=b)
+                 for b in (0, 2, 3)]
+        widths = []
+        for _ in range(2):
+            for w, want in cases:
+                assert alexander_polynomial(w).alexander == want, str(w)
+                widths.append(statesum._slot[0].width)
+            for w in words:
+                assert evaluate_dp(w) == coordinates(evaluate_naive(w)), str(w)
+        assert len(set(widths)) == 3 and widths[:3] == widths[3:]
 
 
 class TestSchedule:
