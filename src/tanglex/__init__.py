@@ -8,7 +8,6 @@ from .tangle import (MorseWord, R1Move, R2Move, R3Move, Slice, apply_move,
                      braid_to_tangle, parse, turning_number)
 from .statesum import base_tables, evaluate_dp, evaluate_naive, expand_states
 from .invariant import NormalizedResult, alexander_polynomial, tangle_invariant
-from .oracle import (KNOT_CORPUS, alexander_via_burau, burau_reduced,
-                     hopf_link_value)
+from .oracle import KNOT_CORPUS, alexander_via_burau, burau_reduced
 
 __version__ = "0.1.0"

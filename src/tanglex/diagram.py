@@ -476,7 +476,13 @@ class ClassVector:
     @staticmethod
     def from_json(data) -> "ClassVector":
         v = ClassVector(data["boundary_count"])
+        # add() trusts its keys, which the evaluators build; a document may
+        # carry any list, so each key must be a set of boundary points
+        points = set(range(1, v.boundary_count + 1))
         for s, c in data["coords"]:
+            if len(set(s)) != len(s) or not set(s) <= points:
+                raise ValueError(f"key {s} is not a set of distinct boundary "
+                                 f"points in 1..{v.boundary_count}")
             v.add(tuple(s), LaurentPoly.from_json(c))
         return v
 

@@ -3,10 +3,14 @@
 The unreduced Burau representation sends generator i of the braid group on n
 strands to the identity with the 2x2 block [[1-t, t], [1, 0]] at rows/columns
 (i, i+1).  It fixes the all-ones vector, so it descends to the (n-1)-
-dimensional quotient; det(reduced(beta) - I) equals the Alexander polynomial
-of the closure times (1 + t + ... + t^(n-1)), up to a unit.  For knots the
-unit is removed by substituting t = q^2 and demanding symmetry under
-q -> q^-1 together with value 1 at q = 1.
+dimensional quotient R.  For a braid with exponent sum e whose closure has mu
+components, the normalized Alexander polynomial of the closure is
+
+    Delta(q) = (-1)^(mu-1) q^(n-1-e) [det(I - R) / (1 + t + ... + t^(n-1))]
+
+at t = q^2 (Kassel and Turaev, Braid Groups, ch. 3).  The formula fixes the
+unit, so knots and links alike need no search; the result is checked to
+satisfy Delta(q^-1) = (-1)^(mu-1) Delta(q), and Delta(1) = 1 for a knot.
 """
 
 from __future__ import annotations
@@ -16,10 +20,6 @@ from .laurent import LaurentPoly, ONE, ZERO
 
 class OracleError(Exception):
     pass
-
-
-class MultiComponentClosureError(OracleError):
-    """The closure is a link, where unit normalization degenerates."""
 
 
 _T = LaurentPoly.q_power(1)       # the Burau variable, substituted later
@@ -110,46 +110,25 @@ def _det(m) -> LaurentPoly:
     return -a[n - 1][n - 1] if negate else a[n - 1][n - 1]
 
 
-def normalize_symmetric(p: LaurentPoly) -> LaurentPoly:
-    """The unique +-q^k multiple of p that is q <-> q^-1 symmetric with
-    value +1 at q = 1.  Raises OracleError when no such multiple exists."""
-    if p.is_zero():
-        raise OracleError("cannot normalize the zero polynomial")
-    span = p.min_exp() + p.max_exp()
-    if span % 2:
-        raise OracleError("exponent span admits no symmetric recentering")
-    p = p.shift(-span // 2)
-    if p.invert_q() != p:
-        raise OracleError("polynomial is not symmetric up to a unit")
-    v = p.eval_at_one()
-    if v == 1:
-        return p
-    if v == -1:
-        return -p
-    raise MultiComponentClosureError(
-        f"value at q=1 is {v}, not a unit: closure is not a knot")
-
-
 def alexander_via_burau(word, strands: int) -> LaurentPoly:
-    """Normalized Alexander polynomial of the braid closure (knots only)."""
-    if closure_components(word, strands) != 1:
-        raise MultiComponentClosureError(
-            "closure has more than one component")
+    """Normalized Alexander polynomial of the braid closure."""
+    if strands < 1:
+        raise ValueError(f"a braid needs 1 or more strands, not {strands}")
+    mu = closure_components(word, strands)
     red = burau_reduced(word, strands)
     n = len(red)
-    diff = tuple(tuple(red[i][j] - (ONE if i == j else ZERO)
+    diff = tuple(tuple((ONE if i == j else ZERO) - red[i][j]
                        for j in range(n)) for i in range(n))
-    det = _det(diff)
     cyclo = LaurentPoly({k: 1 for k in range(strands)})  # 1 + t + ... + t^(n-1)
-    quo = det.divexact(cyclo)
-    return normalize_symmetric(quo.subst_square())
-
-
-def hopf_link_value() -> LaurentPoly:
-    """Normalized value of the positive Hopf link, pinned by one skein step:
-    switching a crossing of the Hopf link splits it, the split value being 0,
-    so Delta(Hopf) - 0 = (q - q^-1) * Delta(unknot) = q - q^-1."""
-    return LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
+    e = sum(1 if g > 0 else -1 for g in word)
+    sign = (-1) ** (mu - 1)
+    p = (_det(diff).divexact(cyclo).subst_square()
+         * LaurentPoly.monomial(sign, strands - 1 - e))
+    if p.invert_q() != (p if sign == 1 else -p):
+        raise OracleError(f"{p} is not {sign:+d}-symmetric under q -> q^-1")
+    if mu == 1 and p.eval_at_one() != 1:
+        raise OracleError(f"knot value {p} is {p.eval_at_one()} at q = 1")
+    return p
 
 
 # Braid presentations whose closures are knots with at most 8 crossings.

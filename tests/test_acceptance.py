@@ -15,7 +15,7 @@ from tanglex.diagram import coordinates
 from tanglex.tangle import braid_to_tangle, random_word
 from tanglex.statesum import base_tables, evaluate_dp, evaluate_naive
 from tanglex.invariant import alexander_polynomial
-from tanglex.oracle import KNOT_CORPUS, alexander_via_burau, hopf_link_value
+from tanglex.oracle import KNOT_CORPUS, alexander_via_burau
 
 Z = LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
 
@@ -110,13 +110,14 @@ def test_criterion_10_move_invariance_fuzz():
 
 def test_criterion_11_hopf_link():
     hopf = braid_to_tangle([1, 1], 2)
+    burau = alexander_via_burau([1, 1], 2)
 
     def check():
         res = alexander_polynomial(hopf, "both")
         # recorded sign: +1 under this package's conventions
-        assert res.alexander == hopf_link_value()
+        assert res.alexander == burau
         assert res.alexander == Z
-        return "sigma_1^2 closure gives +(q - q^-1), the one-skein-step value"
+        return "sigma_1^2 closure gives +(q - q^-1), as the Burau formula does"
     timed("criterion 11 (Hopf link)", 0.010, check)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import tanglex
 from tanglex import checks, diagram, invariant, oracle, statesum
-from tanglex.cli import main
+from tanglex.cli import build_parser, main
 from tanglex.invariant import EvaluatorMismatchError
 from tanglex.laurent import LaurentPoly
 from tanglex.diagram import (ClassVector, ConsistencyError, DiagramVector,
@@ -36,12 +36,16 @@ class TestAlexanderCommand:
         assert code == 0
         assert "delta     = 1" in out and "tau       = 0" in out
 
-    def test_multi_component_oracle_notice(self, capsys):
-        code, out, _ = run(capsys, "alexander", "--braid", "1",
-                           "--strands", "3", "--oracle")
-        assert code == 0
-        assert "delta     = 0" in out
-        assert "oracle unavailable" in out
+    def test_link_oracle_agrees(self, capsys):
+        for braid, strands, value in [
+                ("1 1", "2", "-q^-1 + q"),          # Hopf link
+                ("1 1 2 2", "3", "q^-2 - 2 + q^2"),  # 3-component chain
+                ("1", "3", "0")]:                    # split link
+            code, out, _ = run(capsys, "alexander", "--braid", braid,
+                               "--strands", strands, "--oracle")
+            assert code == 0, braid
+            assert f"alexander = {value}" in out
+            assert f"oracle    = {value}  [AGREE]" in out
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "alexander", "--braid", "1 -2 1 -2",
@@ -125,6 +129,17 @@ class TestCheckCommand:
         out = capsys.readouterr()
         assert exc.value.code == 2 and out.out == ""
         assert f"argument {flag}: must be 0 or more" in out.err
+
+    def test_dims_above_14_refused(self, capsys):
+        # refused by argparse before any basis is enumerated
+        with mock.patch.object(checks, "dimensions") as dimensions:
+            with pytest.raises(SystemExit) as exc:
+                main(["check", "--dims", "15"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert "argument --dims: must be 14 or less, not 15" in out.err
+        dimensions.assert_not_called()
+        assert build_parser().parse_args(["check", "--dims", "14"]).dims == 14
 
     def test_deterministic_given_seed(self, capsys):
         _, out1, _ = run(capsys, "check", "--fuzz", "5", "--seed", "3")
@@ -213,9 +228,8 @@ class TestInternalErrors:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("name, patch", [
-        # the normalization finds no symmetric unit multiple
-        ("normalize_symmetric", dict(side_effect=oracle.OracleError(
-            "polynomial is not symmetric up to a unit"))),
+        # det(I - R) = (1 + t)^2 leaves 1 + t, which no unit makes symmetric
+        ("_det", dict(return_value=LaurentPoly.parse("1 + 2q + q^2"))),
         # det(I - R) = 1 is not divisible by 1 + t
         ("_det", dict(return_value=LaurentPoly.one())),
     ])

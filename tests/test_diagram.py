@@ -282,6 +282,15 @@ class TestClassVector:
         with pytest.raises(ValueError):
             ClassVector(4).add((1,), ONE)
 
+    @pytest.mark.parametrize("key", [[1, 1], [5, 7], [0, 2], [2, -1]])
+    def test_json_bad_key_rejected(self, key):
+        # a repeated or out-of-range point is refused on load, not later in
+        # reconstruct
+        doc = {"boundary_count": 2,
+               "coords": [[[1, 2], [[0, 1]]], [key, [[0, 2]]]]}
+        with pytest.raises(ValueError, match=r"boundary points in 1\.\.2"):
+            ClassVector.from_json(doc)
+
     def test_algebra(self):
         a = ClassVector(2, {(1, 2): ONE})
         b = ClassVector(2, {(1, 2): -ONE, (): ONE})

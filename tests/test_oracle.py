@@ -1,16 +1,15 @@
 """The Burau determinant oracle: matrices, relations, Markov stability."""
 
 import random
+from unittest import mock
 
 import pytest
 
 from tanglex import oracle
 from tanglex.laurent import LaurentPoly, ONE, ZERO
-from tanglex.oracle import (KNOT_CORPUS, MultiComponentClosureError,
-                            OracleError, alexander_via_burau,
+from tanglex.oracle import (KNOT_CORPUS, OracleError, alexander_via_burau,
                             braid_permutation, burau_reduced,
-                            closure_components, hopf_link_value,
-                            normalize_symmetric, unreduced_burau)
+                            closure_components, unreduced_burau)
 
 T = LaurentPoly.q_power(1)
 
@@ -105,21 +104,30 @@ class TestAlexanderValues:
         assert alexander_via_burau([1, -2, 1, -2], 3) == \
             LaurentPoly.parse("-q^-2 + 3 - q^2")
 
-    def test_multi_component_rejected(self):
-        with pytest.raises(MultiComponentClosureError):
-            alexander_via_burau([1, 1], 2)
-        with pytest.raises(MultiComponentClosureError):
-            alexander_via_burau([1], 3)
+    def test_link_values(self):
+        # the positive Hopf link: one skein step from the split link (0) and
+        # the unknot gives q - q^-1, odd under q -> q^-1 as a 2-component link
+        hopf = alexander_via_burau([1, 1], 2)
+        assert hopf == LaurentPoly.parse("-q^-1 + q")
+        assert hopf.invert_q() == -hopf and hopf.eval_at_one() == 0
+        assert alexander_via_burau([-1, -1], 2) == -hopf
+        assert alexander_via_burau([1, 1, 2, 2], 3) == \
+            LaurentPoly.parse("q^-2 - 2 + q^2")            # 3-chain
+        assert alexander_via_burau([1], 3).is_zero()       # split link
+        assert alexander_via_burau([], 2).is_zero()        # 2-unlink
+
+    def test_no_strands_rejected(self):
+        with pytest.raises(ValueError):
+            alexander_via_burau([], 0)
 
     def test_markov_stability(self):
+        # links too: stabilization moves n and the exponent sum together
         rng = random.Random(1)
         checked = 0
         while checked < 15:
             strands = rng.choice((2, 3, 4))
             w = tuple(rng.choice(range(1, strands)) * rng.choice((1, -1))
                       for _ in range(rng.randint(1, 8)))
-            if closure_components(w, strands) != 1:
-                continue
             base = alexander_via_burau(w, strands)
             g = rng.choice(range(1, strands)) * rng.choice((1, -1))
             assert alexander_via_burau((g,) + w + (-g,), strands) == base
@@ -146,17 +154,17 @@ class TestNormalization:
                 assert not (m.invert_q() == m and m.eval_at_one() == 1)
 
     def test_failures(self):
-        with pytest.raises(OracleError):
-            normalize_symmetric(LaurentPoly.zero())
-        with pytest.raises(OracleError):
-            normalize_symmetric(LaurentPoly.parse("1 + q"))   # asymmetric
-        with pytest.raises(OracleError):
-            normalize_symmetric(LaurentPoly.parse("q^-1 + 3 + q"))  # value 5
-
-
-class TestHopf:
-    def test_value(self):
-        v = hopf_link_value()
-        assert v == LaurentPoly.parse("-q^-1 + q")
-        assert v.invert_q() == -v
-        assert v.eval_at_one() == 0
+        for det, word, strands, reason in [
+                # (1 + t)^2 / (1 + t) = 1 + t: the trefoil's value is not
+                # symmetric
+                ("1 + 2q + q^2", [1, 1, 1], 2, "symmetric"),
+                # 1 + t^2: q^-2 + q^2 is symmetric, but a knot needs value 1
+                # at q = 1
+                ("1 + q + q^2 + q^3", [1, 1, 1], 2, "at q = 1"),
+                # a 2-component link's value must be odd: the Hopf link read
+                # through 1 + t^3
+                ("1 + q^3", [1, 1], 2, "symmetric")]:
+            with mock.patch.object(oracle, "_det",
+                                   return_value=LaurentPoly.parse(det)):
+                with pytest.raises(OracleError, match=reason):
+                    alexander_via_burau(word, strands)
