@@ -104,12 +104,20 @@ class TestAlexanderValues:
         assert alexander_via_burau([1, -2, 1, -2], 3) == \
             LaurentPoly.parse("-q^-2 + 3 - q^2")
 
+    def test_multi_component_rejected(self):
+        # a link's value must have parity (-1)^(mu - 1) under q -> q^-1; a
+        # determinant that breaks it is refused for both 2-component closures
+        for det, word, strands in [
+                ("1 + q^3", [1, 1], 2),            # Hopf link: 1 + t^2 left
+                ("1 + 2q + 2q^2 + q^3", [1], 3)]:  # split link: 1 + t left
+            assert closure_components(word, strands) == 2
+            with mock.patch.object(oracle, "_det",
+                                   return_value=LaurentPoly.parse(det)):
+                with pytest.raises(OracleError, match="-1-symmetric"):
+                    alexander_via_burau(word, strands)
+
     def test_link_values(self):
-        # the positive Hopf link: one skein step from the split link (0) and
-        # the unknot gives q - q^-1, odd under q -> q^-1 as a 2-component link
         hopf = alexander_via_burau([1, 1], 2)
-        assert hopf == LaurentPoly.parse("-q^-1 + q")
-        assert hopf.invert_q() == -hopf and hopf.eval_at_one() == 0
         assert alexander_via_burau([-1, -1], 2) == -hopf
         assert alexander_via_burau([1, 1, 2, 2], 3) == \
             LaurentPoly.parse("q^-2 - 2 + q^2")            # 3-chain
@@ -168,3 +176,13 @@ class TestNormalization:
                                    return_value=LaurentPoly.parse(det)):
                 with pytest.raises(OracleError, match=reason):
                     alexander_via_burau(word, strands)
+
+
+class TestHopf:
+    def test_value(self):
+        # the positive Hopf link: one skein step from the split link (0) and
+        # the unknot gives q - q^-1, odd under q -> q^-1 as a 2-component link
+        v = alexander_via_burau([1, 1], 2)
+        assert v == LaurentPoly.parse("-q^-1 + q")
+        assert v.invert_q() == -v
+        assert v.eval_at_one() == 0
