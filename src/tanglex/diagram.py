@@ -475,15 +475,25 @@ class ClassVector:
 
     @staticmethod
     def from_json(data) -> "ClassVector":
-        v = ClassVector(data["boundary_count"])
-        # add() trusts its keys, which the evaluators build; a document may
-        # carry any list, so each key must be a set of boundary points
-        points = set(range(1, v.boundary_count + 1))
+        n = data["boundary_count"]
+        if type(n) is not int or n < 0:
+            raise ValueError(f"boundary_count {n!r} is not a count")
+        v = ClassVector(n)
+        # add() trusts its keys, which the evaluators build, and sums a key
+        # it sees twice; a document may carry any list, so each key must be
+        # a set of boundary points, given once
+        points = set(range(1, n + 1))
+        seen = set()
         for s, c in data["coords"]:
-            if len(set(s)) != len(s) or not set(s) <= points:
+            if (any(type(p) is not int for p in s)
+                    or len(set(s)) != len(s) or not set(s) <= points):
                 raise ValueError(f"key {s} is not a set of distinct boundary "
-                                 f"points in 1..{v.boundary_count}")
-            v.add(tuple(s), LaurentPoly.from_json(c))
+                                 f"points in 1..{n}")
+            key = frozenset(s)
+            if key in seen:
+                raise ValueError(f"key {s} given twice")
+            seen.add(key)
+            v.add(s, LaurentPoly.from_json(c))
         return v
 
     def reconstruct(self) -> DiagramVector:

@@ -232,7 +232,17 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(data) -> "LaurentPoly":
-        return LaurentPoly({int(e): int(a) for e, a in data})
+        # a document is refused, not coerced: to_json writes each exponent
+        # once, and only ints (bool is an int subclass, so checked by type)
+        coeffs = {}
+        for e, a in data:
+            if type(e) is not int or type(a) is not int:
+                raise ValueError(f"term {[e, a]!r}: exponent and coefficient "
+                                 f"must be integers")
+            if e in coeffs:
+                raise ValueError(f"exponent {e} given twice")
+            coeffs[e] = a
+        return LaurentPoly(coeffs)
 
 
 ZERO = LaurentPoly()

@@ -3,8 +3,13 @@
 A tangle is a bottom-to-top word of elementary slices acting on a row of
 strands: ``cup i`` births two strands at positions i, i+1; ``cap i`` joins the
 strands at i, i+1; ``x+ i`` / ``x- i`` cross them with the left strand passing
-over / under.  Orientations are declared (per bottom endpoint and per cup) and
-propagated; inconsistent words are rejected.
+over / under.  Each strand is oriented where it is born: by its bottom
+endpoint's ``up``/``down`` or by its cup's ``cw``/``ccw``.  A cap must join two
+strands of opposite directions; a word that caps parallel strands is rejected.
+
+The turning number of a 2-endpoint word is a sum of half turns read off its
+cups and caps (see ``turning_number``); the sum is even because the widths fix
+cups - caps.
 
 Boundary points of the whole tangle are numbered clockwise from a basepoint at
 the far left: bottom endpoints 1..k left to right, then top endpoints right to
@@ -19,8 +24,6 @@ from __future__ import annotations
 
 import random
 from typing import NamedTuple
-
-from .diagram import ConsistencyError
 
 
 class TangleError(Exception):
@@ -137,7 +140,7 @@ def analyze(word: MorseWord) -> _Analysis:
 
 
 def _analyze(word: MorseWord) -> _Analysis:
-    """Trace wires, propagate orientations, and classify crossings."""
+    """Trace wires, orient each where it is born, and classify crossings."""
     k = word.bottom_count
     if k < 0:
         raise WidthError("negative bottom count")
@@ -147,85 +150,56 @@ def _analyze(word: MorseWord) -> _Analysis:
     if len(word.cup_orientations) != n_cups:
         raise OrientationError("need one cw/ccw per cup")
 
-    next_wire = k
+    # wire id -> +1 (up) / -1 (down): bottom wires 0..k-1, then two per cup
+    wire_dir = []
+    for o in word.bottom_orientations:
+        if o not in ("up", "down"):
+            raise OrientationError(f"bad bottom orientation {o!r}")
+        wire_dir.append(1 if o == "up" else -1)
     current = list(range(k))
     widths = [k]
     levels = [tuple(current)]
-    # orientation constraints: absolute assignments and opposite-direction pairs
-    assigned = {}
-    for i, o in enumerate(word.bottom_orientations):
-        if o not in ("up", "down"):
-            raise OrientationError(f"bad bottom orientation {o!r}")
-        assigned[i] = 1 if o == "up" else -1
-    opposite = []
-    raw_crossings = []
-    cup_idx = 0
+    crossings = []
+    cup_labels = iter(word.cup_orientations)
     for t, sl in enumerate(word.slices):
         w = len(current)
         if sl.kind == CUP:
             if not 1 <= sl.pos <= w + 1:
                 raise WidthError(
                     f"slice {t}: cup {sl.pos} out of range at width {w}")
-            left, right = next_wire, next_wire + 1
-            next_wire += 2
-            lab = word.cup_orientations[cup_idx]
-            cup_idx += 1
-            if lab == "cw":
-                assigned[left], assigned[right] = 1, -1
-            elif lab == "ccw":
-                assigned[left], assigned[right] = -1, 1
-            else:
+            lab = next(cup_labels)
+            if lab not in ("cw", "ccw"):
                 raise OrientationError(f"bad cup orientation {lab!r}")
-            current[sl.pos - 1:sl.pos - 1] = [left, right]
+            d = 1 if lab == "cw" else -1
+            left = len(wire_dir)
+            wire_dir += (d, -d)
+            current[sl.pos - 1:sl.pos - 1] = [left, left + 1]
         elif sl.kind == CAP:
             if not 1 <= sl.pos <= w - 1:
                 raise WidthError(
                     f"slice {t}: cap {sl.pos} out of range at width {w}")
-            a, b = current[sl.pos - 1], current[sl.pos]
-            opposite.append((a, b))
+            if wire_dir[current[sl.pos - 1]] == wire_dir[current[sl.pos]]:
+                raise OrientationError(
+                    f"slice {t}: inconsistent strand orientations")
             del current[sl.pos - 1:sl.pos + 1]
         elif sl.kind in _CROSSINGS:
             if not 1 <= sl.pos <= w - 1:
                 raise WidthError(
                     f"slice {t}: crossing {sl.pos} out of range at width {w}")
             a, b = current[sl.pos - 1], current[sl.pos]
-            raw_crossings.append((t, sl.pos, sl.kind, a, b))
+            d1, d2 = wire_dir[a], wire_dir[b]
+            crossings.append(CrossingInfo(
+                t, sl.pos, sl.kind, d1, d2, _crossing_sign(sl.kind, d1, d2),
+                _ROT_OF_PATTERN[(d1, d2)]))
             current[sl.pos - 1], current[sl.pos] = b, a
         else:
             raise TangleError(f"unknown slice kind {sl.kind!r}")
         widths.append(len(current))
         levels.append(tuple(current))
 
-    # propagate directions through the opposite-pairs graph
-    wire_dir = dict(assigned)
-    adj = {}
-    for a, b in opposite:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    stack = list(wire_dir)
-    while stack:
-        a = stack.pop()
-        for b in adj.get(a, ()):
-            want = -wire_dir[a]
-            if b in wire_dir:
-                if wire_dir[b] != want:
-                    raise OrientationError(
-                        "inconsistent strand orientations")
-            else:
-                wire_dir[b] = want
-                stack.append(b)
-    if len(wire_dir) != next_wire:
-        raise OrientationError("strand with undetermined orientation")
-
-    crossings = tuple(
-        CrossingInfo(t, pos, kind, wire_dir[a], wire_dir[b],
-                     _crossing_sign(kind, wire_dir[a], wire_dir[b]),
-                     _ROT_OF_PATTERN[(wire_dir[a], wire_dir[b])])
-        for t, pos, kind, a, b in raw_crossings)
-    top_dirs = tuple(wire_dir[i] for i in current)
-    bottom_dirs = tuple(wire_dir[i] for i in range(k))
-    return _Analysis(tuple(widths), wire_dir, tuple(levels), crossings,
-                     top_dirs, bottom_dirs)
+    return _Analysis(tuple(widths), tuple(wire_dir), tuple(levels),
+                     tuple(crossings), tuple(wire_dir[i] for i in current),
+                     tuple(wire_dir[:k]))
 
 
 def writhe(word: MorseWord) -> int:
@@ -312,80 +286,35 @@ def format_word(word: MorseWord) -> str:
 def turning_number(word: MorseWord) -> int:
     """Signed count of oriented loops after smoothing every crossing.
 
-    Each loop contributes +-1/2 per critical point: a minimum traversed left
-    to right or a maximum traversed right to left counts +1/2, the reverses
-    -1/2.  The single open strand is discarded.
+    Counted in half turns over the critical points (Whitney's rotation
+    number): a minimum traversed left to right or a maximum traversed right
+    to left is +1, the reverses -1.  So each ``ccw`` cup gives +1, each
+    ``cw`` cup -1, and each cap the direction of its right strand.  The
+    oriented smoothing adds nothing: at an antiparallel crossing it makes a
+    maximum and a minimum whose half turns cancel.  The single open strand
+    is an embedded arc in the disk, so its turn depends only on its ends and
+    is subtracted: a cap's when both ends are at the bottom, a cup's when both
+    are at the top, 0 when it runs from bottom to top.
+
+    The sum is always even: cups - caps = (top - bottom) / 2 is odd exactly
+    when the open strand adds a term, so there is an even number of +-1
+    terms.
     """
     if word.endpoint_count != 2:
         raise EndpointCountError("turning number needs exactly 2 endpoints")
     an = analyze(word)
-
-    parent = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    turns = []  # (port_left, port_right, 'min'|'max')
-    port_dir = {}
-    next_port = 0
-
-    def new_port(d):
-        nonlocal next_port
-        p = next_port
-        next_port = p + 1
-        port_dir[p] = d
-        return p
-
-    current = [new_port(d) for d in an.bottom_dirs]
-    bottom_ports = list(current)
-    ci = iter(an.crossings)
-    cup_idx = 0
-    for sl in word.slices:
+    half = 0
+    cup_labels = iter(word.cup_orientations)
+    for t, sl in enumerate(word.slices):
         if sl.kind == CUP:
-            lab = word.cup_orientations[cup_idx]
-            cup_idx += 1
-            dl = 1 if lab == "cw" else -1
-            a, b = new_port(dl), new_port(-dl)
-            turns.append((a, b, "min"))
-            union(a, b)
-            current[sl.pos - 1:sl.pos - 1] = [a, b]
+            half += 1 if next(cup_labels) == "ccw" else -1
         elif sl.kind == CAP:
-            a, b = current[sl.pos - 1], current[sl.pos]
-            turns.append((a, b, "max"))
-            union(a, b)
-            del current[sl.pos - 1:sl.pos + 1]
-        else:
-            info = next(ci)
-            a, b = current[sl.pos - 1], current[sl.pos]
-            if info.d1 == info.d2:
-                # parallel: oriented smoothing is the identity, no swap
-                pass
-            else:
-                # antiparallel: smooth to a maximum below and a minimum above
-                turns.append((a, b, "max"))
-                union(a, b)
-                na, nb = new_port(info.d2), new_port(info.d1)
-                turns.append((na, nb, "min"))
-                union(na, nb)
-                current[sl.pos - 1], current[sl.pos] = na, nb
-    open_roots = {find(p) for p in bottom_ports + current}
-    total = 0
-    for a, b, kind in turns:
-        if find(a) in open_roots:
-            continue
-        if kind == "min":
-            total += 1 if port_dir[a] == -1 else -1
-        else:
-            total += 1 if port_dir[b] == 1 else -1
-    if total % 2:
-        raise ConsistencyError("half-turn count of closed loops must be even")
-    return total // 2
+            half += an.wire_dir[an.levels[t][sl.pos]]
+    if word.bottom_count == 2:
+        half -= an.bottom_dirs[1]
+    elif word.bottom_count == 0:
+        half += an.top_dirs[0]
+    return half // 2
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +459,10 @@ def move_sites(word: MorseWord):
 
 
 def random_move(rng: random.Random, word: MorseWord):
-    return rng.choice(move_sites(word))
+    sites = move_sites(word)
+    if not sites:
+        raise MoveError("no move applies: the word has no strands")
+    return rng.choice(sites)
 
 
 def random_word(rng: random.Random, max_crossings: int = 8,

@@ -291,6 +291,25 @@ class TestClassVector:
         with pytest.raises(ValueError, match=r"boundary points in 1\.\.2"):
             ClassVector.from_json(doc)
 
+    @pytest.mark.parametrize("count", [-3, 2.0, "2", True, None])
+    def test_json_bad_boundary_count_rejected(self, count):
+        doc = {"boundary_count": count, "coords": [[[], [[0, 1]]]]}
+        with pytest.raises(ValueError, match="boundary_count"):
+            ClassVector.from_json(doc)
+
+    @pytest.mark.parametrize("again", [[1, 2], [2, 1]])
+    def test_json_repeated_key_rejected(self, again):
+        # two entries for one key are refused, not summed
+        doc = {"boundary_count": 2,
+               "coords": [[[1, 2], [[0, 1]]], [again, [[0, 2]]]]}
+        with pytest.raises(ValueError, match="given twice"):
+            ClassVector.from_json(doc)
+
+    def test_json_non_integer_point_rejected(self):
+        doc = {"boundary_count": 2, "coords": [[[1.0, 2], [[0, 1]]]]}
+        with pytest.raises(ValueError, match=r"boundary points in 1\.\.2"):
+            ClassVector.from_json(doc)
+
     def test_algebra(self):
         a = ClassVector(2, {(1, 2): ONE})
         b = ClassVector(2, {(1, 2): -ONE, (): ONE})

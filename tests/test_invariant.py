@@ -13,15 +13,17 @@ from tanglex import checks, invariant
 from tanglex.laurent import LaurentPoly, ONE
 from tanglex.diagram import ConsistencyError, DiagramVector, FlatDiagram
 from tanglex.statesum import base_tables
-from tanglex.tangle import (EndpointCountError, R1Move, R2Move, R3Move, Slice,
-                            analyze, apply_move, braid_to_tangle, move_sites,
-                            parse, random_word)
+from tanglex.oracle import KNOT_CORPUS, alexander_via_burau
+from tanglex.tangle import (CAP, CUP, EndpointCountError, MorseWord, R1Move,
+                            R2Move, R3Move, Slice, analyze, apply_move,
+                            braid_to_tangle, move_sites, parse, random_word)
 from tanglex.invariant import (NormalizedResult, alexander_polynomial,
                                minus_q_power, tangle_invariant, with_crossing,
                                with_crossing_smoothed)
 
 Q = LaurentPoly.q_power(1)
 QI = LaurentPoly.q_power(-1)
+_DIR = {1: "up", -1: "down"}
 
 
 def braid(word, strands):
@@ -77,6 +79,27 @@ class TestAlexander:
     def test_requires_two_endpoints(self):
         with pytest.raises(EndpointCountError):
             alexander_polynomial(parse("bottom 2 up up;"))
+
+    @pytest.mark.parametrize("up", [True, False])
+    @pytest.mark.parametrize("name, word, strands", KNOT_CORPUS)
+    def test_bent_corpus_matches_burau(self, name, word, strands, up):
+        # the closure of the braid with its open strand's bottom end bent
+        # up (a cup on the left) or its top end bent down (a cap on the
+        # left): the same knot, with tau read off both endpoint shapes
+        w = braid(word, strands)
+        if not up:
+            w = MorseWord(1, w.slices, ("down",),
+                          ("ccw",) * len(w.cup_orientations))
+        shifted = tuple(Slice(s.kind, s.pos + 1) for s in w.slices)
+        d = analyze(w).bottom_dirs[0]
+        top = analyze(w).top_dirs[0]
+        bent_up = MorseWord(0, (Slice(CUP, 1),) + shifted, (),
+                            ("ccw" if d == 1 else "cw",) + w.cup_orientations)
+        bent_down = MorseWord(2, shifted + (Slice(CAP, 1),),
+                              (_DIR[-top], _DIR[d]), w.cup_orientations)
+        want = alexander_via_burau(word, strands)
+        for v in (bent_up, bent_down):
+            assert alexander_polynomial(v, "both").alexander == want, name
 
     def test_bad_evaluator(self):
         with pytest.raises(ValueError):

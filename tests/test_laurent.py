@@ -71,6 +71,19 @@ class TestCanonicalForm:
     def test_json_roundtrip(self, p):
         assert LaurentPoly.from_json(p.to_json()) == p
 
+    @pytest.mark.parametrize("doc", [
+        [[0, 1], [0, 2]],      # an exponent given twice
+        [[0, 1.7]],            # a float coefficient
+        [[0.0, 1]],            # a float exponent
+        [[0, "2"]],            # a string coefficient
+        [["1", 1]],            # a string exponent
+        [[0, True]],           # a bool coefficient
+        [[True, 1]],           # a bool exponent
+    ])
+    def test_json_malformed_rejected(self, doc):
+        with pytest.raises(ValueError):
+            LaurentPoly.from_json(doc)
+
     def test_parse_rejects_garbage(self):
         for bad in ("q^", "2*q", "qq", "^3", "q^1.5"):
             with pytest.raises(ValueError):

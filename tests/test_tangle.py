@@ -1,5 +1,7 @@
-"""The tangle language, orientation propagation, moves, and turning numbers."""
+"""The tangle language, strand orientations, moves, and turning numbers."""
 
+import collections
+import hashlib
 import random
 
 import pytest
@@ -9,7 +11,7 @@ from tanglex.tangle import (CAP, CUP, OVER, UNDER, EndpointCountError,
                             R2Move, R3Move, Slice, TangleSyntaxError,
                             VALID_R3_TRIPLES, WidthError, analyze, apply_move,
                             braid_to_tangle, format_word, move_sites, parse,
-                            random_word, turning_number, writhe)
+                            random_move, random_word, turning_number, writhe)
 
 
 def signs(word):
@@ -74,6 +76,13 @@ class TestParse:
         with pytest.raises(OrientationError):
             parse("bottom 2 up down; cup 2 cw; cap 1;")  # up meets cup's up leg
         parse("bottom 2 up down; cap 1;")             # antiparallel cap is fine
+
+    def test_first_fault_in_slice_order_wins(self):
+        # the bad cap comes before the out-of-range crossing
+        with pytest.raises(OrientationError):
+            parse("bottom 2 up up; cap 1; x+ 5;")
+        with pytest.raises(WidthError):
+            parse("bottom 2 up up; x+ 5; cap 1;")
 
 
 class TestCrossingSigns:
@@ -145,6 +154,36 @@ class TestTurningNumber:
             mv = rng.choice(moves)
             assert turning_number(apply_move(w, mv)) == turning_number(w)
             done += 1
+
+    @pytest.mark.parametrize("text, tau", [
+        ("bottom 0; cup 1 ccw; cup 3 cw; x+ 2; x+ 2; x+ 2; cap 3;", -1),
+        ("bottom 2 down up; cup 3 cw; x+ 2; x+ 2; x+ 2; cap 3; cap 1;", -1),
+        ("bottom 2 up down; cup 2 ccw; cap 2; cap 1;", 1),
+        ("bottom 0; cup 1 ccw; cup 1 ccw; cap 2;", 0),
+    ])
+    def test_open_strand_with_both_ends_on_one_side(self, text, tau):
+        assert turning_number(parse(text)) == tau
+
+    def test_seeded_prefix_words_of_every_shape(self):
+        # prefixes of random words with 2 endpoints, in all three shapes
+        # (bottom, top) = (1, 1), (0, 2), (2, 0); the digest of every word
+        # with its turning number was taken from a loop tracer that smoothed
+        # each crossing and summed the critical points of the closed loops
+        rng = random.Random(17)
+        lines = []
+        shapes = collections.Counter()
+        while len(lines) < 2000:
+            w = random_word(rng, max_crossings=rng.randint(0, 8),
+                            bottom=rng.randint(0, 2), max_width=8)
+            slices = w.slices[:rng.randint(0, len(w.slices))]
+            cups = w.cup_orientations[:sum(s.kind == CUP for s in slices)]
+            p = MorseWord(w.bottom_count, slices, w.bottom_orientations, cups)
+            if p.endpoint_count == 2:
+                lines.append(f"{format_word(p)} {turning_number(p)}")
+                shapes[p.bottom_count, p.top_count] += 1
+        assert shapes == {(1, 1): 880, (0, 2): 847, (2, 0): 273}
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+        assert digest == "350470fe374f7608"
 
     def test_crossing_switch_and_smoothing_preserve_tau(self):
         from tanglex.invariant import with_crossing, with_crossing_smoothed
@@ -221,6 +260,10 @@ class TestMoves:
             apply_move(w, R1Move(0, 2, "left", "over"))
         with pytest.raises(MoveError):
             apply_move(w, R3Move(0))
+
+    def test_random_move_without_a_site(self):
+        with pytest.raises(MoveError):
+            random_move(random.Random(0), parse("bottom 0;"))
 
     def test_move_sites_all_apply(self):
         rng = random.Random(4)
