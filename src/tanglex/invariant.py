@@ -15,10 +15,9 @@ from typing import NamedTuple
 
 from .laurent import LaurentPoly
 from .diagram import ClassVector, coordinates
-from .tangle import CAP, CUP, EndpointCountError, MorseWord, Slice, analyze, turning_number
+from .tangle import (CAP, CUP, OVER, UNDER, EndpointCountError, MorseWord,
+                     Slice, _cup_label_index, analyze, turning_number)
 from .statesum import delta_from_class, evaluate_dp, evaluate_naive
-
-_CROSS_KINDS = ("over", "under")
 
 
 class EvaluatorMismatchError(Exception):
@@ -84,7 +83,7 @@ def tangle_invariant(word: MorseWord, evaluator: str = "dp") -> ClassVector:
 
 
 def _crossing_slice_indices(word: MorseWord):
-    return [t for t, s in enumerate(word.slices) if s.kind in _CROSS_KINDS]
+    return [t for t, s in enumerate(word.slices) if s.kind in (OVER, UNDER)]
 
 
 def with_crossing(word: MorseWord, index: int, kind: str) -> MorseWord:
@@ -114,7 +113,6 @@ def with_crossing_smoothed(word: MorseWord, index: int) -> MorseWord:
     else:
         label = "cw" if info.d2 == 1 else "ccw"
         slices[t:t + 1] = [Slice(CAP, slices[t].pos), Slice(CUP, slices[t].pos)]
-        cup_at = sum(1 for s in word.slices[:t] if s.kind == CUP)
-        cups.insert(cup_at, label)
+        cups.insert(_cup_label_index(word, t), label)
     return MorseWord(word.bottom_count, tuple(slices),
                      word.bottom_orientations, tuple(cups))

@@ -72,8 +72,8 @@ pair 00 <-> 11, a cap destroying 11, a cup creating 11), a twist
 (-1)^(floor(lo/2) + floor(hi/2)), where lo / hi count the key's bits below /
 above the pair.  The local tables are derived from the 5-term tables by
 diagram surgery on a 3-point cut, once, on the first dp evaluation; no
-transition cache is kept, and the one slot of packed tables described below
-is all the dp keeps between evaluations.
+transition cache is kept, and the derived tables are all the dp keeps
+between evaluations.
 
 The dp's work at a slice grows with the live keys at its cut, about
 2^(bottom + width), and ``braid_to_tangle`` puts every cup before the braid
@@ -107,17 +107,14 @@ B = bitlength(M) + 1, the coefficients are the unique balanced base-2^B
 digits of the int, in [-2^(B-1), 2^(B-1)), read once per key at the end,
 from exponent -(sum of s) upward in steps of 2.
 
-B depends only on the bottom count and the row norms of the word's slices,
-so words of one shape share it (B = 38 for every 6-strand 19-letter knot
-braid).  So ``evaluate_dp`` keeps one slot (``_slot``): the operands of
-each table of the set it last ran with, packed at the last B, forward and
-transposed, each table packed the first time a word reads it.  The slot
-holds the table set itself and compares it with ``is``: a caller that
-substitutes other tables at the same B, even the same rows in another form,
-gets its own operands.  A word at the same B on the same tables packs
-nothing; one at another B, or on other tables, replaces the slot.  So it
-never holds more than one table set packed both ways, however many and
-however varied the words.
+B depends only on the bottom count and the row norms of the word's slices:
+every 6-strand 19-letter knot braid has B = 38, but words of varied shapes
+change it from word to word, so no table is kept packed at any B.  Each
+table keeps instead the operands its form reads (below) with every
+coefficient c as its digits, the coefficients of q^s * c as a polynomial in
+q^2, derived with the table.  ``evaluate_dp`` packs only the tables its
+steps read, at the word's B, with one shift and add per digit; the operand
+of a FAN_OUT or FAN_IN table is a sign and is not packed.
 
 Every table keeps the parity of its pair (the even block is 00/11, the odd
 block 01/10), so each output coefficient of a slice reads at most one key
@@ -615,6 +612,7 @@ class _KernelTable(NamedTuple):
     shift: int         # q^shift * c is a polynomial in q^2, for every entry c
     norm: int          # row L1 norm
     form: str          # BLOCK, FAN_OUT, FAN_IN or SCATTER, read off the rows
+    operands: tuple    # what the kernel reads in that form, as digits
     back: "_KernelTable | None"   # the transposed table (whose back is None)
 
 
@@ -673,16 +671,49 @@ def _transpose(rows, produced: bool) -> tuple:
                  for out in range(4 if produced else 1))
 
 
+def _digits(c: LaurentPoly, shift: int) -> tuple:
+    """The coefficients of q^shift * c(q) as a polynomial in q^2, that of
+    the highest power first.  ``_table_bound`` has checked that every
+    shifted exponent is even, and shift = -(lowest exponent) keeps them
+    nonnegative."""
+    if not c:
+        return ()
+    return tuple(c.coeff(e) for e in range(c.max_exp(), -shift - 1, -2))
+
+
+def _operands(form: str, rows, shift: int) -> tuple:
+    """What the kernel's loop for a form reads off the rows, each
+    coefficient as its ``_digits``: for BLOCK the entries (d0, d3, lo, b, c,
+    d) of 00 -> 00, 11 -> 11, lo -> hi, hi -> lo and hi -> hi; for FAN_OUT
+    and FAN_IN (s < 0,); for SCATTER the rows themselves."""
+    if form is FAN_OUT:
+        return (rows[0][0][1][1] != ONE,)
+    if form is FAN_IN:
+        return (rows[3][0][0][1] != ONE,)
+    rows = tuple(tuple(tuple((out, _digits(c, shift)) for out, c in part)
+                       for part in row) for row in rows)
+    if form is BLOCK:
+        (_, d0), = rows[0][0]
+        (_, d3), = rows[3][0]
+        lo = 1 if len(rows[1][0]) == 1 else 2
+        (_, b), = rows[lo][0]
+        hi_row = dict(rows[3 - lo][0])
+        return d0, d3, lo, b, hi_row[lo], hi_row[3 - lo]
+    return rows
+
+
 def _kernel_table(rows, consumed: bool, produced: bool) -> _KernelTable:
-    """A local table with its bound and form, and its transpose with its
-    own, which consumes what the table produces and produces what it
-    consumes."""
-    back = _transpose(rows, produced)
-    return _KernelTable(rows, *_table_bound(rows),
-                        _table_form(rows, consumed, produced),
-                        _KernelTable(back, *_table_bound(back),
-                                     _table_form(back, produced, consumed),
-                                     None))
+    """A local table with its bound, form and operands, and its transpose
+    with its own, which consumes what the table produces and produces what
+    it consumes."""
+    def table(rows, consumed, produced, back):
+        shift, norm = _table_bound(rows)
+        form = _table_form(rows, consumed, produced)
+        return _KernelTable(rows, shift, norm, form,
+                            _operands(form, rows, shift), back)
+
+    return table(rows, consumed, produced,
+                 table(_transpose(rows, produced), produced, consumed, None))
 
 
 @lru_cache(maxsize=1)
@@ -711,22 +742,10 @@ def _digit_width(k: int, norms) -> int:
     return m.bit_length() + 1
 
 
-def _encode(p: LaurentPoly, shift: int, width: int) -> int:
-    """q^shift * p(q) at q^2 = 2^width; shift must leave every exponent
-    even and nonnegative."""
-    v = 0
-    for e, a in p.terms():
-        if e + shift < 0 or (e + shift) % 2:
-            raise ValueError(f"shift {shift} leaves exponent {e + shift}")
-        v += a << (width * ((e + shift) >> 1))
-    return v
-
-
 def _decode(v: int, width: int, offset: int) -> LaurentPoly:
-    """Inverse of _encode: the polynomial whose coefficients are the
-    balanced base-2^width digits of v, in [-2^(width-1), 2^(width-1)),
-    with the lowest digit at exponent offset (= -shift) and each next digit
-    2 exponents higher."""
+    """The polynomial whose coefficients are the balanced base-2^width
+    digits of v, in [-2^(width-1), 2^(width-1)), with the lowest digit at
+    exponent offset (= -shift) and each next digit 2 exponents higher."""
     half = 1 << (width - 1)
     mask = (1 << width) - 1
     coeffs = {}
@@ -740,61 +759,25 @@ def _decode(v: int, width: int, offset: int) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
+def _value(digits, width: int) -> int:
+    """The polynomial in q^2 whose ``_digits`` are given, at q^2 = 2^width."""
+    v = 0
+    for d in digits:
+        v = (v << width) + d
+    return v
+
+
 def _pack(table: _KernelTable, width: int) -> tuple:
-    """The table's rows with each coefficient encoded at q^2 = 2^width."""
-    return tuple(tuple(tuple((out, _encode(c, table.shift, width))
-                             for out, c in part) for part in row)
-                 for row in table.rows)
-
-
-def _operands(form: str, rows) -> tuple:
-    """What the kernel's loop for a form reads off the packed rows: for
-    BLOCK the entries (d0, d3, lo, b, c, d) of 00 -> 00, 11 -> 11, lo -> hi,
-    hi -> lo and hi -> hi; for FAN_OUT and FAN_IN (s < 0,); for SCATTER the
-    rows themselves."""
-    if form is BLOCK:
-        (_, d0), = rows[0][0]
-        (_, d3), = rows[3][0]
-        lo = 1 if len(rows[1][0]) == 1 else 2
-        (_, b), = rows[lo][0]
-        hi_row = dict(rows[3 - lo][0])
-        return d0, d3, lo, b, hi_row[lo], hi_row[3 - lo]
-    if form is FAN_OUT:
-        return (rows[0][0][1][1] < 0,)
-    if form is FAN_IN:
-        return (rows[3][0][0][1] < 0,)
-    return rows
-
-
-class _Packed(dict):
-    """The kernel's operands of each table of ``tables``, packed at
-    q^2 = 2^width, by table key; a table is packed on its first read."""
-
-    def __init__(self, tables: dict, width: int):
-        super().__init__()
-        self.tables = tables
-        self.width = width
-
-    def __missing__(self, key):
-        table = self.tables[key]
-        ops = self[key] = _operands(table.form, _pack(table, self.width))
-        return ops
-
-
-# (forward, back): the operands of the last table set evaluate_dp ran with
-# and of their transposes, at the last digit width (see the module docstring)
-_slot = None
-
-
-def _packing(tables: dict, width: int) -> tuple:
-    """The slot for ``tables`` at ``width``, replacing the one held when
-    either differs."""
-    global _slot
-    slot = _slot       # read once: a word keeps the slot it started with
-    if slot is None or slot[0].tables is not tables or slot[0].width != width:
-        back = {key: table.back for key, table in tables.items()}
-        slot = _slot = (_Packed(tables, width), _Packed(back, width))
-    return slot
+    """(form, operands) of a table with each coefficient at q^2 = 2^width."""
+    ops = table.operands
+    if table.form is BLOCK:
+        d0, d3, lo, b, c, d = ops
+        ops = (_value(d0, width), _value(d3, width), lo, _value(b, width),
+               _value(c, width), _value(d, width))
+    elif table.form is SCATTER:
+        ops = tuple(tuple(tuple((out, _value(c, width)) for out, c in part)
+                          for part in row) for row in ops)
+    return table.form, ops
 
 
 def _steps(word: MorseWord) -> list:
@@ -841,13 +824,13 @@ def _schedule(steps) -> list:
     return steps
 
 
-def _sweep(state: dict, steps, tables: dict, operands: dict) -> dict:
-    """The state after ``steps``, each table applied in its form (the module
+def _sweep(state: dict, steps, packed: dict) -> dict:
+    """The state after ``steps``, each table applied in its form with its
+    packed operands, ``packed[table key]`` = (form, operands) (the module
     docstring says what each form does); ``state`` may be rewritten in
     place."""
     for table_key, ib, width_in, width_out in steps:
-        form = tables[table_key].form
-        ops = operands[table_key]
+        form, ops = packed[table_key]
         m = 3 << ib                        # the pair's two bits
         if form is BLOCK:
             # a crossing, rewritten in place: an output key takes input only
@@ -966,8 +949,11 @@ def evaluate_dp(word: MorseWord) -> ClassVector:
             if bits >> p & 1:
                 key |= (1 << p) | (1 << (2 * k - 1 - p))
         state[key] = 1
-    forward, back = _packing(tables, width)
-    state = _sweep(state, steps[:split], tables, forward)
+    # each table the forward steps read, and the transpose of each one the
+    # backward steps read, packed at this word's width
+    state = _sweep(state, steps[:split],
+                   {key: _pack(tables[key], width)
+                    for key in {step[0] for step in steps[:split]}})
     if split < len(steps):
         # the costate, seeded with 1 on every output key, one per sector
         costate = _sweep(
@@ -975,7 +961,8 @@ def evaluate_dp(word: MorseWord) -> ClassVector:
              if not key.bit_count() & 1},
             [(key, ib, width_out, width_in)
              for key, ib, width_in, width_out in reversed(steps[split:])],
-            back.tables, back)
+            {key: _pack(tables[key].back, width)
+             for key in {step[0] for step in steps[split:]}})
         low_mask = (1 << k) - 1
         meet = {}
         for key, x in state.items():

@@ -388,12 +388,15 @@ def _cup_label_index(word: MorseWord, slice_index: int) -> int:
 def apply_move(word: MorseWord, move, seed=None) -> MorseWord:
     """Return a word differing from ``word`` by one oriented Reidemeister
     move.  Raises MoveError when the move does not apply at the site."""
+    if isinstance(move, (R1Move, R2Move, R3Move)) and move.slice_index < 0:
+        raise MoveError(f"negative slice index {move.slice_index}")
     slices = list(word.slices)
     cups = list(word.cup_orientations)
     if isinstance(move, R1Move):
-        t, p = move.slice_index, move.position
+        t, p, kind = move.slice_index, move.position, move.crossing
+        if kind not in _CROSSINGS:
+            raise MoveError(f"bad R1 crossing {kind!r}")
         d = _strand_dir_at(word, t, p)
-        kind = OVER if move.crossing == "over" else UNDER
         if move.side == "right":
             ins = [Slice(CUP, p + 1), Slice(kind, p), Slice(CAP, p + 1)]
             label = "cw" if d == 1 else "ccw"
@@ -410,7 +413,9 @@ def apply_move(word: MorseWord, move, seed=None) -> MorseWord:
         level_width = analyze(word).widths[t] if t <= len(word.slices) else -1
         if not 1 <= p <= level_width - 1:
             raise MoveError(f"no adjacent strand pair at position {p}")
-        first = OVER if move.first == "over" else UNDER
+        first = move.first
+        if first not in _CROSSINGS:
+            raise MoveError(f"bad R2 first crossing {first!r}")
         second = UNDER if first == OVER else OVER
         slices[t:t] = [Slice(first, p), Slice(second, p)]
         return _rebuild(word, slices, cups)

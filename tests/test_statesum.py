@@ -652,18 +652,30 @@ class TestPacking:
                   (LaurentPoly(), 5)]
         for p, width in cases:
             shift = (-p.min_exp() if p else 0) + 2 * rng.randint(0, 2)
-            v = statesum._encode(p, shift, width)
+            v = statesum._value(statesum._digits(p, shift), width)
             assert statesum._decode(v, width, -shift) == p, (p, shift, width)
-
-    def test_encode_rejects_negative_exponent(self):
-        with pytest.raises(ValueError):
-            statesum._encode(QI, 0, 8)
-
-    def test_encode_rejects_odd_shifted_exponent(self):
-        with pytest.raises(ValueError):
-            statesum._encode(Q, 0, 8)
-        with pytest.raises(ValueError):
-            statesum._encode(LaurentPoly({-1: 1, 0: 1}), 1, 8)
+        # every packed operand of every table, forward and transposed,
+        # decodes to its row entry
+        for key, forward in statesum._kernel_tables().items():
+            for table in (forward, forward.back):
+                for width in (4, 38, 70):
+                    form, ops = statesum._pack(table, width)
+                    assert form is table.form
+                    if form is statesum.BLOCK:
+                        d0, d3, lo, b, c, d = ops
+                        hi = 3 - lo
+                        packed = [(0, 0, d0), (3, 3, d3), (lo, hi, b),
+                                  (hi, lo, c), (hi, hi, d)]
+                    elif form is statesum.SCATTER:
+                        packed = [(i, out, v) for i, row in enumerate(ops)
+                                  for out, v in row[0]]
+                    else:
+                        assert ops == table.operands
+                        continue
+                    for i, out, v in packed:
+                        got = statesum._decode(v, width, -table.shift)
+                        assert got == dict(table.rows[i][0])[out], (
+                            key, i, out, width)
 
     def test_kernel_multiplies_no_polynomials(self):
         w = braid_to_tangle([1, -2, 1, -2, 3, 2, -3], 4)
@@ -716,9 +728,14 @@ class TestPacking:
 
     @staticmethod
     def all_scattered(tables=None):
-        return {key: table._replace(
-                    form=statesum.SCATTER,
-                    back=table.back._replace(form=statesum.SCATTER))
+        def scattered(table, **fields):
+            return table._replace(form=statesum.SCATTER,
+                                  operands=statesum._operands(
+                                      statesum.SCATTER, table.rows,
+                                      table.shift),
+                                  **fields)
+
+        return {key: scattered(table, back=scattered(table.back))
                 for key, table in (tables or statesum._kernel_tables()).items()}
 
     def test_crossing_out_of_shape_is_scattered(self):
@@ -820,24 +837,11 @@ class TestPacking:
             res = alexander_polynomial(braid_to_tangle(word, n))
             assert res.alexander == alexander_via_burau(word, n), (word, n)
 
-    # two 6-strand knot braids of 19 letters, gen.knot_braid(Random(0), 6,
-    # 19) twice: both have digit width 38, and the second reads no table the
-    # first did not
-    SAME_WIDTH = ((3, 1, 5, 1, -1, 4, 1, -5, -4, -3, -2, -3, -1, -2, -5, -2,
-                   -2, 2, 5),
-                  (-3, -1, -3, -5, 1, 1, 3, 2, 2, -5, 3, -3, 4, 5, 2, 3, -1,
-                   -4, -2))
-
-    def test_second_word_at_a_width_packs_nothing(self):
-        first, second = (braid_to_tangle(word, 6) for word in self.SAME_WIDTH)
-        with mock.patch.object(statesum, "_slot", None):    # an empty slot
-            evaluate_dp(first)
-            with mock.patch.object(statesum, "_encode",
-                                   wraps=statesum._encode) as encode:
-                got = alexander_polynomial(second).alexander
-            assert statesum._slot[0].width == 38
-        assert encode.call_count == 0
-        assert got == alexander_via_burau(self.SAME_WIDTH[1], 6)
+    @staticmethod
+    def digit_width(w):
+        tables = statesum._kernel_tables()
+        return statesum._digit_width(w.bottom_count, [
+            tables[step[0]].norm for step in statesum._steps(w)])
 
     def test_table_sets_at_one_width_keep_their_own_operands(self):
         # one word under three table sets of one digit width, interleaved:
@@ -857,16 +861,12 @@ class TestPacking:
         sets = [(statesum._kernel_tables(), want),
                 (self.all_scattered(), want),
                 (edited, want.scale(-ONE if flips % 2 else ONE))]
-        widths = set()
         for tables, expected in sets + sets[::-1] + sets:
             with self.patched(tables):
                 assert evaluate_dp(w) == expected
-            assert statesum._slot[0].tables is tables
-            widths.add(statesum._slot[0].width)
-        assert len(widths) == 1
 
     def test_words_at_three_widths_interleaved(self):
-        # each word replaces the slot of the one before it, twice over
+        # knots of three digit widths and vector words, interleaved twice
         rng = random.Random(17)
         cases = []
         for n in (3, 5, 7):
@@ -879,14 +879,12 @@ class TestPacking:
                           alexander_via_burau(word, n)))
         words = [random_word(rng, max_crossings=4, bottom=b)
                  for b in (0, 2, 3)]
-        widths = []
+        assert len({self.digit_width(w) for w, _ in cases}) == 3
         for _ in range(2):
             for w, want in cases:
                 assert alexander_polynomial(w).alexander == want, str(w)
-                widths.append(statesum._slot[0].width)
             for w in words:
                 assert evaluate_dp(w) == coordinates(evaluate_naive(w)), str(w)
-        assert len(set(widths)) == 3 and widths[:3] == widths[3:]
 
 
 class TestSchedule:
@@ -992,9 +990,8 @@ class TestMeet:
         for key, table in statesum._kernel_tables().items():
             if table.form is not statesum.BLOCK:
                 continue
-            d0, d3, lo, b, c, d = statesum._operands(table.form, table.rows)
-            assert statesum._operands(table.back.form, table.back.rows) == (
-                d0, d3, lo, c, b, d), key
+            d0, d3, lo, b, c, d = table.operands
+            assert table.back.operands == (d0, d3, lo, c, b, d), key
 
     def test_fewer_live_keys_on_warm_braids(self):
         # the keys each step reads, summed over the first 150 braids of the
@@ -1014,11 +1011,11 @@ class TestMeet:
         def live_key_steps():
             count = 0
 
-            def counted(state, steps, tables, operands):
+            def counted(state, steps, packed):
                 nonlocal count
                 for step in steps:
                     count += len(state)
-                    state = sweep(state, [step], tables, operands)
+                    state = sweep(state, [step], packed)
                 return state
 
             with mock.patch.object(statesum, "_sweep", counted):
@@ -1079,6 +1076,25 @@ class TestBoundedMemory:
             tanglex.tangle_invariant(w, "both")
         assert self.module_cache_sizes() == before
         assert not hasattr(tangle.analyze, "cache_info")
+
+    def test_dp_rebinds_no_module_name(self):
+        # the dp keeps nothing between words but its derived tables: words
+        # of three digit widths, and one under other tables, leave every
+        # name of the module bound to the object it was bound to
+        words = [braid_to_tangle((1, -2, 1, -2), 3),
+                 braid_to_tangle((1, 2, -3, 2, -1, 3), 4),
+                 parse("bottom 2 up up; x+ 1;")]
+        evaluate_dp(words[0])           # derives the kernel tables once
+        before = dict(vars(statesum))
+        assert len({TestPacking.digit_width(w) for w in words}) == 3
+        for w in words:
+            evaluate_dp(w)
+        with TestPacking.patched(TestPacking.all_scattered()):
+            evaluate_dp(words[0])
+        after = vars(statesum)
+        assert after.keys() == before.keys()
+        assert [name for name, obj in before.items()
+                if after[name] is not obj] == []
 
     def test_no_assert_statements_in_evaluator_modules(self):
         # python -O strips assert statements; result checks must raise

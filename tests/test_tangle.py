@@ -260,6 +260,16 @@ class TestMoves:
             apply_move(w, R1Move(0, 2, "left", "over"))
         with pytest.raises(MoveError):
             apply_move(w, R3Move(0))
+        # a negative slice index is not counted from the top, and a crossing
+        # kind other than over/under is not taken as under
+        w = parse("bottom 3 up up up; x+ 1; x+ 2; x+ 1;")
+        for move in (R3Move(-3), R2Move(-1, 1, "over"),
+                     R1Move(-1, 1, "left", "over"),
+                     R1Move(0, 1, "left", "sideways"), R2Move(0, 1, "x+")):
+            with pytest.raises(MoveError):
+                apply_move(w, move)
+        with pytest.raises(MoveError):
+            apply_move(w, (0, 1, "over"))
 
     def test_random_move_without_a_site(self):
         with pytest.raises(MoveError):
