@@ -150,8 +150,18 @@ class FlatDiagram(_FlatFields):
 
     @staticmethod
     def parse(text: str) -> "FlatDiagram":
-        parts = dict(p.split("=", 1) for p in
-                     (s.strip() for s in text.split(";")) if p)
+        parts = {}
+        for stmt in (s.strip() for s in text.split(";")):
+            if not stmt:
+                continue
+            field, eq, value = stmt.partition("=")
+            if field not in ("n", "chords", "ticks") or not eq:
+                raise ValueError(f"bad diagram field {stmt!r}")
+            if field in parts:
+                raise ValueError(f"diagram field {field!r} given twice")
+            parts[field] = value
+        if "n" not in parts:
+            raise ValueError("diagram text has no 'n='")
         n = int(parts["n"])
         chords = []
         body = parts.get("chords", "").replace(" ", "")
@@ -167,7 +177,7 @@ class FlatDiagram(_FlatFields):
             chords.append((i, j, dot))
             body = rest[1:] if rest.startswith(",") else rest
         ticks = [int(x) for x in parts.get("ticks", "").split(",") if x.strip()]
-        return FlatDiagram.make(n, chords, ticks)
+        return FlatDiagram._load(n, chords, ticks)
 
     def to_json(self):
         return {
@@ -178,7 +188,35 @@ class FlatDiagram(_FlatFields):
 
     @staticmethod
     def from_json(data) -> "FlatDiagram":
-        return FlatDiagram.make(data["boundary_count"], data["chords"], data["ticks"])
+        if (not isinstance(data, dict)
+                or set(data) != {"boundary_count", "chords", "ticks"}
+                or not isinstance(data["chords"], list)
+                or not isinstance(data["ticks"], list)):
+            raise ValueError("a diagram document has exactly the keys "
+                             "boundary_count, chords and ticks, the last two "
+                             "lists")
+        return FlatDiagram._load(data["boundary_count"], data["chords"],
+                                 data["ticks"])
+
+    @staticmethod
+    def _load(n, chords, ticks) -> "FlatDiagram":
+        # a document is refused, not coerced: make() trusts its callers (it
+        # sits on the naive expansion's hot loop), so it would read 2.0 as a
+        # count and "yes" as a dot, and its set would merge a repeated chord
+        if type(n) is not int or n < 0:
+            raise ValueError(f"boundary_count {n!r} is not a count")
+        for ch in chords:
+            if (not isinstance(ch, (list, tuple)) or len(ch) != 3
+                    or type(ch[0]) is not int or type(ch[1]) is not int
+                    or type(ch[2]) is not bool):
+                raise ValueError(f"chord {ch!r} is not [i, j, dotted] with "
+                                 f"integer ends and a boolean dot")
+        if any(type(p) is not int for p in ticks):
+            raise ValueError(f"ticks {ticks!r} are not all integers")
+        points = [p for ch in chords for p in ch[:2]] + list(ticks)
+        if len(set(points)) != len(points):
+            raise ValueError("a boundary point is given twice")
+        return FlatDiagram.make(n, chords, ticks)
 
 
 # ---------------------------------------------------------------------------

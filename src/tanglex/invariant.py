@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .laurent import LaurentPoly
 from .diagram import ClassVector, coordinates
-from .tangle import (CAP, CUP, OVER, UNDER, EndpointCountError, MorseWord,
+from .tangle import (CAP, CUP, CrossingInfo, EndpointCountError, MorseWord,
                      Slice, _cup_label_index, analyze, turning_number)
 from .statesum import delta_from_class, evaluate_dp, evaluate_naive
 
@@ -82,18 +82,18 @@ def tangle_invariant(word: MorseWord, evaluator: str = "dp") -> ClassVector:
     raise ValueError(f"unknown evaluator {evaluator!r}")
 
 
-def _crossing_slice_indices(word: MorseWord):
-    return [t for t, s in enumerate(word.slices) if s.kind in (OVER, UNDER)]
+def _crossing(word: MorseWord, index: int) -> CrossingInfo:
+    crossings = analyze(word).crossings
+    if not 0 <= index < len(crossings):
+        raise IndexError(f"crossing index {index} out of range")
+    return crossings[index]
 
 
 def with_crossing(word: MorseWord, index: int, kind: str) -> MorseWord:
     """Copy of the word with crossing number ``index`` set to over/under."""
-    slots = _crossing_slice_indices(word)
-    if not 0 <= index < len(slots):
-        raise IndexError(f"crossing index {index} out of range")
-    t = slots[index]
+    info = _crossing(word, index)
     slices = list(word.slices)
-    slices[t] = Slice(kind, slices[t].pos)
+    slices[info.slice_index] = Slice(kind, info.pos)
     return MorseWord(word.bottom_count, tuple(slices),
                      word.bottom_orientations, word.cup_orientations)
 
@@ -101,18 +101,15 @@ def with_crossing(word: MorseWord, index: int, kind: str) -> MorseWord:
 def with_crossing_smoothed(word: MorseWord, index: int) -> MorseWord:
     """Copy of the word with crossing ``index`` replaced by its oriented
     smoothing (identity for parallel strands, a cap-cup for antiparallel)."""
-    slots = _crossing_slice_indices(word)
-    if not 0 <= index < len(slots):
-        raise IndexError(f"crossing index {index} out of range")
-    t = slots[index]
-    info = next(c for c in analyze(word).crossings if c.slice_index == t)
+    info = _crossing(word, index)
+    t = info.slice_index
     slices = list(word.slices)
     cups = list(word.cup_orientations)
     if info.d1 == info.d2:
         del slices[t]
     else:
         label = "cw" if info.d2 == 1 else "ccw"
-        slices[t:t + 1] = [Slice(CAP, slices[t].pos), Slice(CUP, slices[t].pos)]
+        slices[t:t + 1] = [Slice(CAP, info.pos), Slice(CUP, info.pos)]
         cups.insert(_cup_label_index(word, t), label)
     return MorseWord(word.bottom_count, tuple(slices),
                      word.bottom_orientations, tuple(cups))

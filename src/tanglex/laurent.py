@@ -206,8 +206,14 @@ class LaurentPoly:
 
     @staticmethod
     def parse(text: str) -> "LaurentPoly":
-        """Parse the canonical textual form (inverse of str)."""
-        s = text.replace(" ", "")
+        """Parse the canonical textual form (inverse of str).
+
+        Whitespace may stand at the ends or next to a term's sign, and
+        nowhere else: ``"1 2"`` is refused, not read as 12."""
+        s = re.sub(r"(?<!\^)\s*([+-])\s*", r"\1", text.strip())
+        if re.search(r"\s", s):
+            raise ValueError(f"bad Laurent polynomial {text!r}: whitespace "
+                             f"inside a term")
         if not s or s == "0":
             return LaurentPoly.zero()
         s = re.sub(r"(?<=[^\^])([+-])", r" \1", s)  # keep exponent signs intact

@@ -172,8 +172,7 @@ from typing import NamedTuple
 from .laurent import LaurentPoly, ONE, ZERO
 from .diagram import (ClassVector, ConsistencyError, DiagramVector,
                       FlatDiagram, dotted_class)
-from .tangle import (CAP, CUP, OVER, UNDER, EndpointCountError, MorseWord,
-                     analyze)
+from .tangle import CAP, CUP, EndpointCountError, MorseWord, analyze
 
 _Q = LaurentPoly.q_power(1)
 _QI = LaurentPoly.q_power(-1)
@@ -490,17 +489,13 @@ def expand_states(word: MorseWord, dotted: bool = False):
     branch = 5 if dotted else 7
     k = word.bottom_count
 
-    suffix = [0] * (len(word.slices) + 1)
-    for i in range(len(word.slices) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + (word.slices[i].kind in (OVER, UNDER))
-
     # the states grouped by cut: {ends: [raw count, {done: coeff}]}
     cuts = {tuple(("b", p + 1, False) for p in range(k)):
             [1, {frozenset(): ONE}]}
     killed = 0
     ci = iter(an.crossings)
-    for t, sl in enumerate(word.slices):
-        after = branch ** suffix[t + 1]
+    left = len(an.crossings)   # crossings above the slice being expanded
+    for sl in word.slices:
         if sl.kind == CUP:
             table, consumed, produced = plans[CUP], False, True
         elif sl.kind == CAP:
@@ -509,6 +504,8 @@ def expand_states(word: MorseWord, dotted: bool = False):
             info = next(ci)
             table = plans[(info.sign, info.rot)]
             consumed = produced = True
+            left -= 1
+        after = branch ** left
         where = sl.pos - 1
         new = {}
         for ends, (count, states) in cuts.items():
@@ -546,7 +543,7 @@ def expand_states(word: MorseWord, dotted: bool = False):
         total += count
         for done, coeff in states.items():
             vec.add_term(_finalize(ends, done, k), coeff)
-    expected = branch ** word.crossing_count()
+    expected = branch ** len(an.crossings)
     if total != expected:
         raise ConsistencyError(f"state count {total} != {expected}")
     return vec, total
@@ -788,8 +785,8 @@ def _steps(word: MorseWord) -> list:
     k = word.bottom_count
     steps = []
     ci = iter(an.crossings)
-    w = k
-    for sl in word.slices:
+    for sl, dirs in zip(word.slices, an.levels):
+        w = len(dirs)
         if sl.kind == CUP:
             step = (CUP, k + w - sl.pos + 1, 0, 2)
         elif sl.kind == CAP:
@@ -798,7 +795,6 @@ def _steps(word: MorseWord) -> list:
             info = next(ci)
             step = ((info.sign, info.rot), k + w - sl.pos - 1, 2, 2)
         steps.append(step)
-        w += step[3] - step[2]
     return steps
 
 

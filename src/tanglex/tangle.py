@@ -7,6 +7,11 @@ over / under.  Each strand is oriented where it is born: by its bottom
 endpoint's ``up``/``down`` or by its cup's ``cw``/``ccw``.  A cap must join two
 strands of opposite directions; a word that caps parallel strands is rejected.
 
+Every layer reads two facts off a word, computed once when it is built
+(``analyze``): the direction of each strand at each level, +1 up or -1 down,
+left to right, and each crossing's sign and pattern.  Level t lies below slice
+t, so a word of n slices has n + 1 levels.
+
 The turning number of a 2-endpoint word is a sum of half turns read off its
 cups and caps (see ``turning_number``); the sum is even because the widths fix
 cups - caps.
@@ -85,33 +90,24 @@ class MorseWord(_MorseFields):
 
     @property
     def top_count(self) -> int:
-        return analyze(self).widths[-1]
+        return len(analyze(self).levels[-1])
 
     @property
     def endpoint_count(self) -> int:
         return self.bottom_count + self.top_count
 
     def crossing_count(self) -> int:
-        return sum(1 for s in self.slices if s.kind in _CROSSINGS)
+        return len(analyze(self).crossings)
 
     def __str__(self) -> str:
         return format_word(self)
 
 
-class _Analysis:
-    """Derived structure of a word: widths, wires, directions, crossings."""
+class _Analysis(NamedTuple):
+    """Derived structure of a word: strand directions and crossings."""
 
-    __slots__ = ("widths", "wire_dir", "levels", "crossings", "top_dirs",
-                 "bottom_dirs")
-
-    def __init__(self, widths, wire_dir, levels, crossings, top_dirs,
-                 bottom_dirs):
-        self.widths = widths
-        self.wire_dir = wire_dir      # wire id -> +1 (up) / -1 (down)
-        self.levels = levels          # per level, tuple of wire ids
-        self.crossings = crossings    # CrossingInfo per crossing slice
-        self.top_dirs = top_dirs
-        self.bottom_dirs = bottom_dirs
+    levels: tuple     # per level, +1 (up) / -1 (down) per strand, left to right
+    crossings: tuple  # CrossingInfo per crossing slice
 
 
 class CrossingInfo(NamedTuple):
@@ -140,7 +136,12 @@ def analyze(word: MorseWord) -> _Analysis:
 
 
 def _analyze(word: MorseWord) -> _Analysis:
-    """Trace wires, orient each where it is born, and classify crossings."""
+    """Orient each strand where it is born, check each cap, and classify the
+    crossings.
+
+    ``current`` holds the direction of every strand at the present level: a
+    cup inserts ``(d, -d)`` with d = +1 for ``cw``, a cap must join two
+    opposite directions, and a crossing swaps the two it crosses."""
     k = word.bottom_count
     if k < 0:
         raise WidthError("negative bottom count")
@@ -150,14 +151,11 @@ def _analyze(word: MorseWord) -> _Analysis:
     if len(word.cup_orientations) != n_cups:
         raise OrientationError("need one cw/ccw per cup")
 
-    # wire id -> +1 (up) / -1 (down): bottom wires 0..k-1, then two per cup
-    wire_dir = []
+    current = []
     for o in word.bottom_orientations:
         if o not in ("up", "down"):
             raise OrientationError(f"bad bottom orientation {o!r}")
-        wire_dir.append(1 if o == "up" else -1)
-    current = list(range(k))
-    widths = [k]
+        current.append(1 if o == "up" else -1)
     levels = [tuple(current)]
     crossings = []
     cup_labels = iter(word.cup_orientations)
@@ -171,14 +169,12 @@ def _analyze(word: MorseWord) -> _Analysis:
             if lab not in ("cw", "ccw"):
                 raise OrientationError(f"bad cup orientation {lab!r}")
             d = 1 if lab == "cw" else -1
-            left = len(wire_dir)
-            wire_dir += (d, -d)
-            current[sl.pos - 1:sl.pos - 1] = [left, left + 1]
+            current[sl.pos - 1:sl.pos - 1] = (d, -d)
         elif sl.kind == CAP:
             if not 1 <= sl.pos <= w - 1:
                 raise WidthError(
                     f"slice {t}: cap {sl.pos} out of range at width {w}")
-            if wire_dir[current[sl.pos - 1]] == wire_dir[current[sl.pos]]:
+            if current[sl.pos - 1] == current[sl.pos]:
                 raise OrientationError(
                     f"slice {t}: inconsistent strand orientations")
             del current[sl.pos - 1:sl.pos + 1]
@@ -186,20 +182,15 @@ def _analyze(word: MorseWord) -> _Analysis:
             if not 1 <= sl.pos <= w - 1:
                 raise WidthError(
                     f"slice {t}: crossing {sl.pos} out of range at width {w}")
-            a, b = current[sl.pos - 1], current[sl.pos]
-            d1, d2 = wire_dir[a], wire_dir[b]
+            d1, d2 = current[sl.pos - 1], current[sl.pos]
             crossings.append(CrossingInfo(
                 t, sl.pos, sl.kind, d1, d2, _crossing_sign(sl.kind, d1, d2),
                 _ROT_OF_PATTERN[(d1, d2)]))
-            current[sl.pos - 1], current[sl.pos] = b, a
+            current[sl.pos - 1], current[sl.pos] = d2, d1
         else:
             raise TangleError(f"unknown slice kind {sl.kind!r}")
-        widths.append(len(current))
         levels.append(tuple(current))
-
-    return _Analysis(tuple(widths), tuple(wire_dir), tuple(levels),
-                     tuple(crossings), tuple(wire_dir[i] for i in current),
-                     tuple(wire_dir[:k]))
+    return _Analysis(tuple(levels), tuple(crossings))
 
 
 def writhe(word: MorseWord) -> int:
@@ -288,13 +279,15 @@ def turning_number(word: MorseWord) -> int:
 
     Counted in half turns over the critical points (Whitney's rotation
     number): a minimum traversed left to right or a maximum traversed right
-    to left is +1, the reverses -1.  So each ``ccw`` cup gives +1, each
-    ``cw`` cup -1, and each cap the direction of its right strand.  The
+    to left is +1, the reverses -1.  So each cup gives minus the direction
+    of its left strand (+1 for ``ccw``, -1 for ``cw``), and each cap the
+    direction of its right strand, both read off the analysis.  The
     oriented smoothing adds nothing: at an antiparallel crossing it makes a
     maximum and a minimum whose half turns cancel.  The single open strand
     is an embedded arc in the disk, so its turn depends only on its ends and
     is subtracted: a cap's when both ends are at the bottom, a cup's when both
-    are at the top, 0 when it runs from bottom to top.
+    are at the top, 0 when it runs from bottom to top; those ends' directions
+    are read off the first and last levels.
 
     The sum is always even: cups - caps = (top - bottom) / 2 is odd exactly
     when the open strand adds a term, so there is an even number of +-1
@@ -302,18 +295,17 @@ def turning_number(word: MorseWord) -> int:
     """
     if word.endpoint_count != 2:
         raise EndpointCountError("turning number needs exactly 2 endpoints")
-    an = analyze(word)
+    levels = analyze(word).levels
     half = 0
-    cup_labels = iter(word.cup_orientations)
     for t, sl in enumerate(word.slices):
         if sl.kind == CUP:
-            half += 1 if next(cup_labels) == "ccw" else -1
+            half -= levels[t + 1][sl.pos - 1]
         elif sl.kind == CAP:
-            half += an.wire_dir[an.levels[t][sl.pos]]
+            half += levels[t][sl.pos]
     if word.bottom_count == 2:
-        half -= an.bottom_dirs[1]
+        half -= levels[0][1]
     elif word.bottom_count == 0:
-        half += an.top_dirs[0]
+        half += levels[-1][0]
     return half // 2
 
 
@@ -367,13 +359,12 @@ VALID_R3_TRIPLES = frozenset(
 
 
 def _strand_dir_at(word: MorseWord, level: int, position: int) -> int:
-    an = analyze(word)
     if not 0 <= level <= len(word.slices):
         raise MoveError(f"level {level} out of range")
-    wires = an.levels[level]
-    if not 1 <= position <= len(wires):
+    dirs = analyze(word).levels[level]
+    if not 1 <= position <= len(dirs):
         raise MoveError(f"no strand at position {position} of level {level}")
-    return an.wire_dir[wires[position - 1]]
+    return dirs[position - 1]
 
 
 def _rebuild(word: MorseWord, slices, cups) -> MorseWord:
@@ -385,7 +376,7 @@ def _cup_label_index(word: MorseWord, slice_index: int) -> int:
     return sum(1 for s in word.slices[:slice_index] if s.kind == CUP)
 
 
-def apply_move(word: MorseWord, move, seed=None) -> MorseWord:
+def apply_move(word: MorseWord, move) -> MorseWord:
     """Return a word differing from ``word`` by one oriented Reidemeister
     move.  Raises MoveError when the move does not apply at the site."""
     if isinstance(move, (R1Move, R2Move, R3Move)) and move.slice_index < 0:
@@ -410,7 +401,8 @@ def apply_move(word: MorseWord, move, seed=None) -> MorseWord:
         return _rebuild(word, slices, cups)
     if isinstance(move, R2Move):
         t, p = move.slice_index, move.position
-        level_width = analyze(word).widths[t] if t <= len(word.slices) else -1
+        levels = analyze(word).levels
+        level_width = len(levels[t]) if t < len(levels) else -1
         if not 1 <= p <= level_width - 1:
             raise MoveError(f"no adjacent strand pair at position {p}")
         first = move.first
@@ -442,10 +434,9 @@ def apply_move(word: MorseWord, move, seed=None) -> MorseWord:
 
 def move_sites(word: MorseWord):
     """All applicable move descriptors on ``word`` (used by the fuzzers)."""
-    an = analyze(word)
     out = []
-    for t in range(len(word.slices) + 1):
-        w = an.widths[t]
+    for t, dirs in enumerate(analyze(word).levels):
+        w = len(dirs)
         for p in range(1, w + 1):
             for side in ("left", "right"):
                 for cr in ("over", "under"):

@@ -72,9 +72,47 @@ class TestFlatDiagram:
         assert FlatDiagram.parse(str(t)) == t
         assert str(d) == "n=4; chords=(1,4)*,(2,3); ticks="
 
+    @pytest.mark.parametrize("text", [
+        "n = 2; chords=(1,2)",                       # spaces around '='
+        "chords=(1,2)",                              # no n
+        "n=0; chord=(1,2)",                          # misspelt field
+        "n=2; chords=(1,2); chords=(1,2)",           # repeated field
+        "n=2; (1,2)",                                # no '='
+        "n=4; chords=(1,2),(1,2); ticks=3,4",        # chord given twice
+        "n=3; chords=(1,2); ticks=3,3",              # tick given twice
+        "n=-2; ticks=",
+    ])
+    def test_text_refuses_bad(self, text):
+        with pytest.raises(ValueError):
+            FlatDiagram.parse(text)
+
     def test_json_roundtrip(self):
         d = fd(6, [(1, 6, True), (2, 5)], [3, 4])
         assert FlatDiagram.from_json(d.to_json()) == d
+
+    @pytest.mark.parametrize("change", [
+        {"boundary_count": 2.0},
+        {"boundary_count": True, "chords": [], "ticks": [1]},
+        {"boundary_count": -2},
+        {"chords": [[1.0, 2, False]]},
+        {"chords": [[1, 2, "yes"]]},
+        {"chords": [[1, 2]]},
+        {"chords": [[1, 2, False], [1, 2, False]], "boundary_count": 4,
+         "ticks": [3, 4]},
+        {"chords": [[1, 2, False], [2, 1, False]], "boundary_count": 4,
+         "ticks": [3, 4]},
+        {"chords": [], "ticks": [1, 2, 2]},
+        {"chords": "(1,2)"},
+        {"ticks": None},                             # missing key
+        {"boundary_count": None},
+        {"dots": []},                                # unknown key
+    ])
+    def test_json_refuses_bad(self, change):
+        doc = {"boundary_count": 2, "chords": [[1, 2, False]], "ticks": []}
+        doc.update(change)
+        doc = {k: v for k, v in doc.items() if v is not None}
+        with pytest.raises(ValueError):
+            FlatDiagram.from_json(doc)
 
     def test_mirror(self):
         assert fd(2, [], [1, 2]).mirror() == fd(2, [], [1, 2])

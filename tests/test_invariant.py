@@ -91,8 +91,8 @@ class TestAlexander:
             w = MorseWord(1, w.slices, ("down",),
                           ("ccw",) * len(w.cup_orientations))
         shifted = tuple(Slice(s.kind, s.pos + 1) for s in w.slices)
-        d = analyze(w).bottom_dirs[0]
-        top = analyze(w).top_dirs[0]
+        levels = analyze(w).levels
+        d, top = levels[0][0], levels[-1][0]
         bent_up = MorseWord(0, (Slice(CUP, 1),) + shifted, (),
                             ("ccw" if d == 1 else "cw",) + w.cup_orientations)
         bent_down = MorseWord(2, shifted + (Slice(CAP, 1),),
@@ -215,6 +215,7 @@ class TestRecords:
     @pytest.mark.parametrize("make, field", [
         (lambda: Slice("cup", 2), "pos"),
         (lambda: parse("bottom 1 up;"), "slices"),
+        (lambda: analyze(parse("bottom 2 up up; x+ 1;")), "levels"),
         (lambda: analyze(parse("bottom 2 up up; x+ 1;")).crossings[0], "sign"),
         (lambda: R1Move(0, 1, "left", "over"), "side"),
         (lambda: R2Move(0, 1, "over"), "first"),

@@ -85,7 +85,7 @@ class TestCanonicalForm:
             LaurentPoly.from_json(doc)
 
     def test_parse_rejects_garbage(self):
-        for bad in ("q^", "2*q", "qq", "^3", "q^1.5"):
+        for bad in ("q^", "2*q", "qq", "^3", "q^1.5", "q^1 0", "1 2", "3 q"):
             with pytest.raises(ValueError):
                 LaurentPoly.parse(bad)
 

@@ -578,9 +578,8 @@ class TestMoveInvariance:
            st.data())
     def test_r3(self, w, data):
         an = tangle.analyze(w)
-        spots = [(t, x) for t, wires in enumerate(an.levels)
-                 for x in range(len(wires) - 2)
-                 if an.wire_dir[wires[x]] == an.wire_dir[wires[x + 2]]]
+        spots = [(t, x) for t, dirs in enumerate(an.levels)
+                 for x in range(len(dirs) - 2) if dirs[x] == dirs[x + 2]]
         assume(spots)
         t, x = data.draw(st.sampled_from(spots), label="spot")
         kinds = data.draw(st.sampled_from(sorted(tangle.VALID_R3_TRIPLES)),
