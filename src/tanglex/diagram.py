@@ -175,8 +175,12 @@ class FlatDiagram(_FlatFields):
             if dot:
                 rest = rest[1:]
             chords.append((i, j, dot))
-            body = rest[1:] if rest.startswith(",") else rest
-        ticks = [int(x) for x in parts.get("ticks", "").split(",") if x.strip()]
+            # chords are separated by one ',' and the list ends on a chord
+            if rest and (not rest.startswith(",") or rest == ","):
+                raise ValueError(f"bad chord list at {rest!r}")
+            body = rest[1:]
+        ticks = parts.get("ticks", "").replace(" ", "")
+        ticks = [int(x) for x in ticks.split(",")] if ticks else []
         return FlatDiagram._load(n, chords, ticks)
 
     def to_json(self):
@@ -513,6 +517,10 @@ class ClassVector:
 
     @staticmethod
     def from_json(data) -> "ClassVector":
+        if (not isinstance(data, dict)
+                or set(data) != {"boundary_count", "coords"}):
+            raise ValueError("a class vector document has exactly the keys "
+                             "boundary_count and coords")
         n = data["boundary_count"]
         if type(n) is not int or n < 0:
             raise ValueError(f"boundary_count {n!r} is not a count")
@@ -522,8 +530,14 @@ class ClassVector:
         # a set of boundary points, given once
         points = set(range(1, n + 1))
         seen = set()
-        for s, c in data["coords"]:
-            if (any(type(p) is not int for p in s)
+        if not isinstance(data["coords"], list):
+            raise ValueError(f"coords {data['coords']!r} is not a list")
+        for entry in data["coords"]:
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise ValueError(f"coords entry {entry!r} is not [key, "
+                                 f"polynomial]")
+            s, c = entry
+            if (not isinstance(s, list) or any(type(p) is not int for p in s)
                     or len(set(s)) != len(s) or not set(s) <= points):
                 raise ValueError(f"key {s} is not a set of distinct boundary "
                                  f"points in 1..{n}")

@@ -240,8 +240,14 @@ class LaurentPoly:
     def from_json(data) -> "LaurentPoly":
         # a document is refused, not coerced: to_json writes each exponent
         # once, and only ints (bool is an int subclass, so checked by type)
+        if not isinstance(data, list):
+            raise ValueError(f"polynomial {data!r} is not a list of terms")
         coeffs = {}
-        for e, a in data:
+        for term in data:
+            if not isinstance(term, list) or len(term) != 2:
+                raise ValueError(f"term {term!r} is not [exponent, "
+                                 f"coefficient]")
+            e, a = term
             if type(e) is not int or type(a) is not int:
                 raise ValueError(f"term {[e, a]!r}: exponent and coefficient "
                                  f"must be integers")

@@ -23,36 +23,46 @@ to an interior vertex, and the joined strand is written back at its two
 ends.  When the consumed pair is one strand, it either closes into a loop
 with the term's chord (0, 1) (dotted: factor -1; undotted: killed) or links
 the two other ends of its corners' term elements.  A dotted strand that
-reaches an interior vertex is killed.  The rewrite reads only a state's cut
-(the ``ends``), never what is closed off below it, so the states are kept
-grouped by cut, each cut with its raw state count, and a slice rewrites
-each distinct cut once: the cup shift, the corners' state-side ends and the
-loop test are done once, then the terms are applied, and each state of the
-cut goes to each resulting picture with one ``LaurentPoly`` product.
+reaches an interior vertex is killed.  ``_apply_terms`` is this rewrite,
+term by term.  It reads only a state's cut (the ``ends``), never what is
+closed off below it, so the states are kept grouped by cut, each cut with
+its raw state count; a slice rewrites each distinct cut once, and each state
+of the cut goes to each resulting picture with one ``LaurentPoly`` product.
 
-Which terms of a table give the same picture, and which are killed, is
-decided by the cut's pattern at the piece alone.  For a consumed pair that
-is one strand, the pattern is the loop and the strand's dot; otherwise it
-is, for each of the two consumed corners, whether its state-side end is
-interior and its dot (an interior end is never dotted).  That is 11
-patterns for a crossing or a cap, and a cup has one.  The reason: a term's
-picture is its set of joins, each a pair of ends with a dot or an end with
-an interior vertex, and a kill is decided by the dots and the interior ends
-alone.  Every end that is not interior is a distinct bottom point or cut
-position, written at its own place in the picture, so distinct joins of
-such ends give distinct pictures on every cut; interior ends are all alike,
-so which joins coincide depends on which ends are interior.  So for each
-(table, pattern) a plan is derived once, on a sample cut whose ends that
-are not interior are distinct bottom points: one representative term per
-picture, carrying the picture's summed coefficient and its term count n
-(the 7-term table's two all-tick pictures become one, -(q + q^-1)); the
-number of killed terms; and the number of terms whose pictures sum to zero.
-On a loop pattern ``_apply_terms`` negates a term closing the loop, so the
-representative stores the sum with that sign applied once more.
-``_apply_terms`` stays the one rewrite and applies only the
-representatives.  The plans of the 7-term and of the 5-term tables are
-each derived on the first naive expansion that reads them
-(``_naive_plans``); the dp never reads them.
+What a table does to a cut is decided by the cut's view at the piece.  For
+a consumed pair that is one strand, the view is the loop and the strand's
+dot; otherwise it is, for each of the two consumed corners, the kind of its
+state-side end (interior, a bottom point or a cut position) and its dot (an
+interior end is never dotted).  That is 27 views for a crossing or a cap,
+and a cup has one.  For each (table, view) a plan is derived once, by
+``_apply_terms`` with all the table's terms on a sample cut of the view,
+written in marks: the pair sits at positions 0 and 1, and the far field of
+corner 0's end (its bottom point, or its partner's position) is 2, that of
+corner 1's is 3.  The plan keeps each picture that does not sum to zero as
+a cut edit, with its summed coefficient and its term count n (the 7-term
+table's two all-tick pictures become one, -(q + q^-1)): the entries of the
+sample that the picture changes, at their marks, with values that are a
+mark, a bottom point's mark or interior, each with its dot; and the items it
+closes off among the bottom points, in marks.  The plan also counts the
+killed terms and the terms whose pictures sum to zero.  ``expand_states``
+then rewrites a cut without ``_apply_terms`` (``_rewrite``): it copies the
+cut (a cup first makes room, shifting the partners at or right of the pair
+by 2), writes each edit's entries with marks 0 and 1 read as the pair's
+positions and 2 and 3 as the far fields of the cut's consumed ends, and a
+cap then deletes the pair and shifts the partners right of it down by 2,
+refusing a strand left ending in its gap.
+
+The relabelling is exact.  The rewrite tests a position only in the loop
+test, which the view holds, and the cup's and cap's shifts, which are done
+on the concrete cut; otherwise it only moves ends about and compares kinds
+and dots.  So it commutes with renaming the sample's pair positions, far
+fields and bottom points to those of any cut of the view: each picture on
+that cut is the sample's picture, renamed.  The renaming is one to one, so
+distinct pictures on the sample stay distinct on every cut and no edit needs
+merging, and an entry a picture leaves as it was on the sample is as it was
+on the cut too.  The plans of the 7-term and of the 5-term tables are each
+derived on the first naive expansion that reads them (``_naive_plans``);
+the dp never reads them.
 
 Each picture forwards the cut's raw count times n to its new cut.  Killed
 terms and terms whose pictures sum to zero count it times 7 or 5 to the
@@ -71,7 +81,8 @@ entries that create or destroy the pair as a whole (a crossing taking the
 pair 00 <-> 11, a cap destroying 11, a cup creating 11), a twist
 (-1)^(floor(lo/2) + floor(hi/2)), where lo / hi count the key's bits below /
 above the pair.  The local tables are derived from the 5-term tables by
-diagram surgery on a 3-point cut, once, on the first dp evaluation; no
+diagram surgery on a 3-point cut, each once, on the first dp evaluation
+that reads it (no braid closure reads the rot 1 and 3 crossings); no
 transition cache is kept, and the derived tables are all the dp keeps
 between evaluations.
 
@@ -166,6 +177,7 @@ are the independent checks of the dp, so they share none of its packing.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -183,7 +195,6 @@ class TableTerm(NamedTuple):
     coeff: LaurentPoly
     chords: tuple     # ((corner, corner, dotted), ...)
     ticks: frozenset  # of corners
-    n: int = 1        # table terms it stands for (a plan's merged terms)
 
 
 def _term(coeff, chords, ticks):
@@ -266,6 +277,28 @@ _CAP_TERM = (_term(ONE, [(0, 1, False)], []),)
 _INTERIOR = ("t", None, False)
 
 
+def _open_gap(ends, where):
+    """A copy of a cut as a cup at ``where`` leaves it before its pair is
+    written: two empty positions at ``where``, and every partner at or right
+    of it moved up by 2."""
+    out = [("c", e[1] + 2, e[2]) if e[0] == "c" and e[1] >= where else e
+           for e in ends]
+    out[where:where] = [None, None]
+    return out
+
+
+def _close_gap(out, where):
+    """Close a cap's pair at ``where`` in the cut ``out``: delete its two
+    positions and move every partner right of them down by 2.  A strand
+    still ending in the gap means the cut was inconsistent."""
+    del out[where:where + 2]
+    for i, e in enumerate(out):
+        if e[0] == "c" and e[1] >= where:
+            if e[1] <= where + 1:
+                raise ConsistencyError("cap left a strand ending in its gap")
+            out[i] = ("c", e[1] - 2, e[2])
+
+
 def _apply_terms(ends, where, terms, consumed, produced):
     """Apply every local picture of a slice's table to one cut.  ``where``
     is the 0-based position of the piece's left corner.
@@ -273,21 +306,15 @@ def _apply_terms(ends, where, terms, consumed, produced):
     Returns (outcomes, killed): ``outcomes`` maps (ends', added), the new
     cut and the frozenset of items the term closes off among the bottom
     points, to [summed signed coefficient, number of terms]; ``killed`` is
-    the number of killed terms.  A term counts as ``term.n`` terms (a plan's
-    representative stands for the n terms of its picture).  Terms giving
-    the same picture are merged into one outcome, which may sum to zero.
+    the number of killed terms.  Terms giving the same picture are merged
+    into one outcome, which may sum to zero.
 
     The rewrite is the one the module docstring describes.  The cup shift,
     the corners' state-side ends and the loop test are done once for the
     cut.  A corner's state-side end is written like an entry of ``ends``; a
     produced corner's is ('c', its own new cut position, False), so a join
     writes a new cut position the same way as an old one."""
-    ends = list(ends)
-    if produced and not consumed:          # cup: make room first
-        for i, e in enumerate(ends):
-            if e[0] == "c" and e[1] >= where:
-                ends[i] = ("c", e[1] + 2, e[2])
-        ends[where:where] = [None, None]
+    ends = _open_gap(ends, where) if produced and not consumed else list(ends)
     # the state-side end of each corner; corners 2, 3 are read only when
     # the piece produces them
     side = [None, None, ("c", where + 1, False), ("c", where, False)]
@@ -309,7 +336,7 @@ def _apply_terms(ends, where, terms, consumed, produced):
             joins = [j for j in joins if j[0] is not None and j[1] is not None]
             if len(merged) == 1:           # the chord (0, 1): a closed loop
                 if not (loop or merged[0][2]):
-                    killed += term.n
+                    killed += 1
                     continue
                 coeff = -coeff
             else:
@@ -338,100 +365,109 @@ def _apply_terms(ends, where, terms, consumed, produced):
                 if y[0] == "c":
                     out[y[1]] = ("c", x[1], dot)
         else:
-            if consumed and not produced:  # cap: close the gap
-                del out[where:where + 2]
-                for i, e in enumerate(out):
-                    if e[0] == "c" and e[1] >= where:
-                        if e[1] <= where + 1:
-                            raise ConsistencyError(
-                                "cap left a strand ending in its gap")
-                        out[i] = ("c", e[1] - 2, e[2])
+            if consumed and not produced:
+                _close_gap(out, where)
             key = (tuple(out), frozenset(added))
             acc = outcomes.get(key)
             if acc is None:
-                outcomes[key] = [coeff, term.n]
+                outcomes[key] = [coeff, 1]
             else:
                 acc[0] = acc[0] + coeff
-                acc[1] += term.n
+                acc[1] += 1
             continue
-        killed += term.n                   # a dotted path met a tick
+        killed += 1                        # a dotted path met a tick
     return outcomes, killed
 
 
 # ---------------------------------------------------------------------------
-# naive plans: the terms of a table merged by the picture they give
+# naive plans: each table's pictures on a cut, as edits of the cut
 #
-# Which terms of a table give one picture, and which are killed, depends only
-# on the cut's pattern at the piece (see the module docstring), so the merge
-# is done once per (table, pattern), not once per cut.
+# What a table does to a cut depends only on the cut's view at the piece (see
+# the module docstring), so its pictures are derived once per (table, view),
+# not once per cut, and a cut is rewritten by relabelling them.
 
-# the state-side end of a consumed corner as (interior, dot); an interior end
-# is never dotted
-_END_KINDS = ((True, False), (False, False), (False, True))
-# the 11 patterns of a crossing or a cap: a loop with its dot, or the kinds
-# of the two consumed corners' ends; a cup's one pattern is None
-_PATTERNS = (tuple(("loop", dot) for dot in (False, True))
-             + tuple(a + b for a in _END_KINDS for b in _END_KINDS))
+# the kind of a consumed corner's state-side end with its dot; an interior
+# end is never dotted
+_END_VIEWS = (("t", False), ("b", False), ("b", True), ("c", False),
+              ("c", True))
+# the 27 views of a crossing or a cap: a loop with its dot, or the kinds and
+# dots of the two consumed corners' ends; a cup's one view is None
+_VIEWS = (tuple(("loop", dot) for dot in (False, True))
+          + tuple(a + b for a in _END_VIEWS for b in _END_VIEWS))
 
 
-def _pattern(ends, where, consumed):
-    """The pattern of a cut at the piece whose left corner is ``where``."""
+def _view(ends, where, consumed):
+    """The view of a cut at the piece whose left corner is ``where``."""
     if not consumed:
         return None
     a, b = ends[where], ends[where + 1]
     if a[0] == "c" and a[1] == where + 1:
         return ("loop", a[2])
-    return (a[0] == "t", a[2], b[0] == "t", b[2])
+    return (a[0], a[2], b[0], b[2])
 
 
-def _sample_cut(pattern):
-    """A cut with ``pattern`` at position 0: width 2 for a crossing or a cap,
-    empty for a cup.  Its ends that are not interior are distinct bottom
-    points, so distinct joins give distinct pictures."""
-    if pattern is None:
+def _view_sample(view):
+    """A cut with ``view`` at position 0, written in marks: width 4 for a
+    crossing or a cap, empty for a cup.  The far field of corner 0's end
+    (its bottom point or its partner's position) is 2, that of corner 1's is
+    3; a position 2 or 3 that is no partner holds a spectator strand from
+    bottom point 4 or 5."""
+    if view is None:
         return ()
-    if pattern[0] == "loop":
-        return (("c", 1, pattern[1]), ("c", 0, pattern[1]))
-    t0, d0, t1, d1 = pattern
-    return (_INTERIOR if t0 else ("b", 1, d0),
-            _INTERIOR if t1 else ("b", 2, d1))
+    if view[0] == "loop":
+        return (("c", 1, view[1]), ("c", 0, view[1]),
+                ("b", 4, False), ("b", 5, False))
+    sample = [None, None, ("b", 4, False), ("b", 5, False)]
+    for i, (kind, dot) in enumerate((view[:2], view[2:])):
+        if kind == "t":
+            sample[i] = _INTERIOR
+        else:
+            sample[i] = (kind, 2 + i, dot)
+            if kind == "c":
+                sample[2 + i] = ("c", i, dot)
+    return tuple(sample)
+
+
+class _Picture(NamedTuple):
+    coeff: LaurentPoly  # the summed coefficient of the picture's terms
+    n: int              # table terms the picture stands for
+    writes: tuple       # (mark, kind, mark or 4 for none, dot): new entries
+    added: tuple        # items closed off among the bottom points, in marks
 
 
 class _Plan(NamedTuple):
-    terms: tuple    # one term per picture whose terms do not sum to zero
-    killed: int     # terms killed on the pattern
-    zero: int       # terms whose pictures sum to zero
+    pictures: tuple     # one per picture whose terms do not sum to zero
+    killed: int         # terms killed on the view
+    zero: int           # terms whose pictures sum to zero
 
 
-def _plan(terms, consumed, produced, pattern) -> _Plan:
-    """Merge ``terms`` by the picture each gives on the sample cut of
-    ``pattern``.  A picture keeps its first term, with the picture's term
-    count as n and its summed coefficient times the sign ``_apply_terms``
-    gives that term (-1 when it closes a dotted loop), so applying it gives
-    the summed coefficient back."""
-    ends = _sample_cut(pattern)
-    pictures = {}
-    killed = 0
-    for term in terms:
-        unit, dead = _apply_terms(ends, 0, (term._replace(coeff=ONE),),
-                                  consumed, produced)
-        killed += dead
-        for key, (sign, n) in unit.items():
-            picture = pictures.setdefault(key, [term, sign, ZERO, 0])
-            picture[2] = picture[2] + term.coeff * sign
-            picture[3] += n
-    kept, zero = [], 0
-    for first, sign, coeff, n in pictures.values():
-        if coeff:
-            kept.append(first._replace(coeff=coeff * sign, n=n))
-        else:
+def _plan(terms, consumed, produced, view) -> _Plan:
+    """The pictures ``terms`` give on the sample cut of ``view``, each as
+    the edit that makes it: every entry that differs from the sample, at
+    its mark (a cap's output is read back across the gap it closed), and
+    the items it closes off.  An interior value is written with mark 4."""
+    sample = _view_sample(view)
+    off = 2 if consumed and not produced else 0
+    outcomes, killed = _apply_terms(sample, 0, terms, consumed, produced)
+    pictures, zero = [], 0
+    for (out, added), (coeff, n) in outcomes.items():
+        if not coeff:
             zero += n
-    return _Plan(tuple(kept), killed, zero)
+            continue
+        writes = []
+        for p, e in enumerate(out, off):
+            if e[0] == "c":
+                e = ("c", e[1] + off, e[2])
+            if p >= len(sample) or e != sample[p]:
+                writes.append((p, e[0], 4 if e[1] is None else e[1], e[2]))
+        pictures.append(_Picture(coeff, n, tuple(writes),
+                                 tuple(sorted(added))))
+    return _Plan(tuple(pictures), killed, zero)
 
 
 @lru_cache(maxsize=2)
 def _naive_plans(tables: ExpansionTable, dotted: bool) -> dict:
-    """plans[key][pattern] for every slice the naive expansion applies with
+    """plans[key][view] for every slice the naive expansion applies with
     the 5-term (dotted) or the 7-term crossing tables, key a crossing's
     (sign, rot), CUP or CAP.  Each set is derived on the first naive
     expansion that reads it, not at import; the dp never reads them."""
@@ -439,9 +475,40 @@ def _naive_plans(tables: ExpansionTable, dotted: bool) -> dict:
     slices = {key: (terms, True, True) for key, terms in crossings.items()}
     slices[CUP] = (_CUP_TERM_PLAIN, False, True)
     slices[CAP] = (_CAP_TERM, True, False)
-    return {key: {pattern: _plan(terms, consumed, produced, pattern)
-                  for pattern in (_PATTERNS if consumed else (None,))}
+    return {key: {view: _plan(terms, consumed, produced, view)
+                  for view in (_VIEWS if consumed else (None,))}
             for key, (terms, consumed, produced) in slices.items()}
+
+
+def _rewrite(ends, where, plan, consumed, produced):
+    """The pictures of ``plan`` on one cut of its view, as [(ends', added,
+    coeff, n)]: each edit with mark 0 and 1 read as the pair's positions, 2
+    and 3 as the far fields of the consumed corners' ends and 4 as none.
+    This is what ``_apply_terms`` gives with the table's terms, less the
+    pictures that sum to zero."""
+    if consumed:
+        base = ends
+        marks = (where, where + 1, ends[where][1], ends[where + 1][1], None)
+    else:
+        base = _open_gap(ends, where)
+        marks = (where, where + 1)
+    pictures = []
+    for coeff, n, writes, added in plan.pictures:
+        out = list(base)
+        for i, kind, x, dot in writes:
+            out[marks[i]] = (kind, marks[x], dot)
+        if not produced:
+            _close_gap(out, where)
+        if added:
+            added = frozenset(
+                ("tick", marks[item[1]]) if item[0] == "tick" else
+                ("chord", min(marks[item[1]], marks[item[2]]),
+                 max(marks[item[1]], marks[item[2]]), item[3])
+                for item in added)
+        else:
+            added = frozenset()
+        pictures.append((tuple(out), added, coeff, n))
+    return pictures
 
 
 def _finalize(ends, done, bottom_count: int) -> FlatDiagram:
@@ -477,7 +544,7 @@ def expand_states(word: MorseWord, dotted: bool = False):
     """Expand every crossing by its table and reduce each state.
 
     The states are grouped by cut, and each cut is rewritten once per slice
-    through the plan of its pattern (see the module docstring).  Returns
+    by the edits of the plan of its view (see the module docstring).  Returns
     (DiagramVector, raw_state_count); the count includes the states pruned:
     those of killed terms, of pictures whose terms sum to zero and of cuts
     whose states all cancelled, each counted times the states the crossings
@@ -509,13 +576,10 @@ def expand_states(word: MorseWord, dotted: bool = False):
         where = sl.pos - 1
         new = {}
         for ends, (count, states) in cuts.items():
-            plan = table[_pattern(ends, where, consumed)]
-            # no term of a plan is killed on its pattern: one that were would
-            # leave the state count short, and the check below would raise
-            outcomes, _ = _apply_terms(ends, where, plan.terms, consumed,
-                                       produced)
+            plan = table[_view(ends, where, consumed)]
             killed += (plan.killed + plan.zero) * count * after
-            for (e2, added), (c, n) in outcomes.items():
+            for e2, added, c, n in _rewrite(ends, where, plan, consumed,
+                                            produced):
                 # each picture forwards the cut's raw count to its own target
                 cut = new.get(e2)
                 if cut is None:
@@ -713,18 +777,49 @@ def _kernel_table(rows, consumed: bool, produced: bool) -> _KernelTable:
                  table(_transpose(rows, produced), produced, consumed, None))
 
 
+# every slice type's table key: (sign, rot) for the crossings, CUP and CAP
+_TABLE_KEYS = (tuple((sign, rot) for rot in range(4) for sign in (1, -1))
+               + (CUP, CAP))
+
+
+def _derive_table(key) -> _KernelTable:
+    """The local table of one slice type, with its bound and form."""
+    if key == CUP:
+        return _kernel_table(_local_table(_CUP_TERMS_DOTTED, False, True),
+                             False, True)
+    if key == CAP:
+        return _kernel_table(_local_table(_CAP_TERM, True, False),
+                             True, False)
+    return _kernel_table(_local_table(base_tables().five[key], True, True),
+                         True, True)
+
+
+class _KernelTables(Mapping):
+    """The local tables of all slice types by key, each derived on its first
+    read: no braid closure reads the rot 1 and 3 crossings."""
+
+    def __init__(self):
+        self._derived = {}
+
+    def __getitem__(self, key) -> _KernelTable:
+        table = self._derived.get(key)
+        if table is None:
+            table = self._derived[key] = _derive_table(key)
+        return table
+
+    def __iter__(self):
+        return iter(_TABLE_KEYS)
+
+    def __len__(self) -> int:
+        return len(_TABLE_KEYS)
+
+
 @lru_cache(maxsize=1)
-def _kernel_tables() -> dict:
+def _kernel_tables() -> _KernelTables:
     """Local tables of all slice types, with their bounds and forms:
-    (sign, rot) for the crossings, CUP and CAP.  Derived on the first
-    evaluation, not at import."""
-    tables = {key: _kernel_table(_local_table(terms, True, True), True, True)
-              for key, terms in base_tables().five.items()}
-    tables[CUP] = _kernel_table(_local_table(_CUP_TERMS_DOTTED, False, True),
-                                False, True)
-    tables[CAP] = _kernel_table(_local_table(_CAP_TERM, True, False),
-                                True, False)
-    return tables
+    (sign, rot) for the crossings, CUP and CAP.  Made on the first
+    evaluation, not at import, and each table derived on its first read."""
+    return _KernelTables()
 
 
 def _digit_width(k: int, norms) -> int:

@@ -81,6 +81,11 @@ class TestFlatDiagram:
         "n=4; chords=(1,2),(1,2); ticks=3,4",        # chord given twice
         "n=3; chords=(1,2); ticks=3,3",              # tick given twice
         "n=-2; ticks=",
+        "n=4; chords=(1,2)(3,4)",                    # no ',' between chords
+        "n=2; chords=(1,2),",                        # a trailing ','
+        "n=4; chords=(1,2),,(3,4)",                  # an empty chord
+        "n=4; ticks=1,2,3,",                         # a trailing ',' in ticks
+        "n=4; ticks=1,,2,3,4",                       # an empty tick
     ])
     def test_text_refuses_bad(self, text):
         with pytest.raises(ValueError):
@@ -341,6 +346,28 @@ class TestClassVector:
         doc = {"boundary_count": 2,
                "coords": [[[1, 2], [[0, 1]]], [again, [[0, 2]]]]}
         with pytest.raises(ValueError, match="given twice"):
+            ClassVector.from_json(doc)
+
+    @pytest.mark.parametrize("doc, fault", [
+        ({}, "exactly the keys"),
+        ({"boundary_count": 2}, "exactly the keys"),
+        ({"boundary_count": 2, "coords": [], "extra": 1}, "exactly the keys"),
+        ([], "exactly the keys"),
+        ({"boundary_count": 2, "coords": 5}, "coords 5 is not a list"),
+        ({"boundary_count": 2, "coords": [[[1, 2]]]},
+         r"entry \[\[1, 2\]\] is not \[key, polynomial\]"),
+        ({"boundary_count": 2, "coords": [5]}, "entry 5 is not"),
+        ({"boundary_count": 2, "coords": [[5, [[0, 1]]]]},
+         "key 5 is not a set"),
+        ({"boundary_count": 2, "coords": [[[1, 2], 5]]},
+         "polynomial 5 is not a list"),
+        ({"boundary_count": 2, "coords": [[[1, 2], [[0]]]]},
+         r"term \[0\] is not \[exponent, coefficient\]"),
+    ])
+    def test_json_malformed_document_rejected(self, doc, fault):
+        # each fault is named, not left to a KeyError, TypeError or an
+        # unpacking error
+        with pytest.raises(ValueError, match=fault):
             ClassVector.from_json(doc)
 
     def test_json_non_integer_point_rejected(self):

@@ -216,6 +216,18 @@ class TestKernel:
                              capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["0", "1"]
 
+    def test_dp_derives_only_the_tables_it_reads(self):
+        # a braid closure reads no rot 1 or 3 crossing; the mapping still
+        # holds all ten tables, each derived on its first read
+        tables = statesum._KernelTables()
+        with mock.patch.object(statesum, "_kernel_tables", lambda: tables):
+            evaluate_dp(braid_to_tangle((1, -2, 1, -2), 3))
+        assert set(tables._derived) == {(1, 0), (-1, 0), tangle.CUP,
+                                        tangle.CAP}
+        assert len(tables) == 10
+        assert dict(tables) == dict(statesum._kernel_tables())
+        assert len(tables._derived) == 10
+
     def test_dp_never_derives_the_naive_plans(self):
         code = ("import tanglex\n"
                 "from tanglex import statesum\n"
@@ -398,59 +410,88 @@ class TestApplyPiece:
         assert killed == 0
         assert list(outcomes.values()) == [[LaurentPoly.zero(), 7]]
         # a word expanded by it keeps no cut after the first slice: the dead
-        # cut is not rewritten again, and its raw count is still counted
+        # cut is rewritten once, to no picture, and not again, and its raw
+        # count is still counted
         tables = statesum.ExpansionTable()
         tables.seven = {(s, r): terms for s in (1, -1) for r in range(4)}
         w = parse("bottom 2 up up; x+ 1; x+ 1;")
         with mock.patch.object(statesum, "base_tables", lambda: tables):
             statesum._naive_plans(tables, False)   # derived outside the count
-            with mock.patch.object(statesum, "_apply_terms",
-                                   wraps=statesum._apply_terms) as apply:
+            with mock.patch.object(statesum, "_rewrite",
+                                   wraps=statesum._rewrite) as rewrite:
                 v, count = expand_states(w)
         assert v.is_zero() and count == 49
-        (call,) = apply.call_args_list
+        (call,) = rewrite.call_args_list
         assert call.args[:2] == (ends, 0)
+        assert call.args[2].pictures == () and call.args[2].zero == 7
 
 
 class TestPlans:
-    """Each (table, pattern) plan, applied to concrete cuts of its pattern,
-    gives what every term of the table gives."""
+    """Each (table, view) plan's edits, applied to concrete cuts of its
+    view, give what every term of the table gives."""
+
+    # layouts of a cut, left to right: "A" and "B" are the consumed corners
+    # (the two ends of one strand on a loop view), "a" and "b" their partners
+    # when their ends are cut positions; another letter is a spectator strand
+    # between its two positions (dotted when upper case), "|" a spectator
+    # strand from a bottom point and "T" an interior end
+    CONSUMED = (
+        "ABba",            # partners right of the pair
+        "baAB",            # partners left of it
+        "aABb",            # across it
+        "|saABbs|",        # inside a strand across the piece
+        "ABbuVVua",        # partners around strands the cap shifts
+        "TbaABvv|",
+    )
+    LOOPS = ("AB", "AB|", "|sABvvs", "TABSS")
+    CUPS = ("", "|", "|svvsT", "sVVs|")
 
     @staticmethod
-    def cuts(pattern):
-        """(ends, where) realizing ``pattern``: the consumed corners' ends as
-        bottom points, as cut partners, and beside spectator strands."""
-        if pattern is None:                          # a cup
-            spectators = [("c", 2, False), ("b", 1, False), ("c", 0, False)]
-            return [((), 0), (tuple(spectators), 2), (tuple(spectators), 0)]
-        if pattern[0] == "loop":
-            d = pattern[1]
-            return [((("c", 1, d), ("c", 0, d), ("b", 1, False)), 0),
-                    ((("c", 3, False), ("c", 2, d), ("c", 1, d),
-                      ("c", 0, False), ("b", 1, True)), 1)]
-        kinds = (pattern[:2], pattern[2:])
-        # the corners at 0 and 1, their ends bottom points 1 and 2, and a
-        # dotted strand from bottom point 3
-        first = [statesum._INTERIOR if t else ("b", 1 + i, d)
-                 for i, (t, d) in enumerate(kinds)] + [("b", 3, True)]
-        # a strand from bottom point 1 at 0, the corners at 1 and 2, their
-        # ends cut partners further right
-        second = [("b", 1, False), None, None]
-        for i, (t, d) in enumerate(kinds):
-            if t:
-                second[1 + i] = statesum._INTERIOR
+    def build(layout, view):
+        """(ends, where): the cut of ``layout`` whose corners have ``view``,
+        and the position of "A"; bottom points are numbered left to
+        right."""
+        items, where = [], None            # (strand, dot) per position
+        for ch in layout:
+            if ch == "A":
+                where = len(items)
+            if ch in "AB" and view[0] == "loop":
+                items.append(("L", view[1]))
+            elif ch in "AB":
+                kind, dot = view[:2] if ch == "A" else view[2:]
+                items.append(({"t": "T", "b": "|"}.get(kind, ch), dot))
+            elif ch in "ab":
+                kind, dot = view[:2] if ch == "a" else view[2:]
+                if kind == "c":
+                    items.append((ch.upper(), dot))
+            elif ch in "|T":
+                items.append((ch, False))
             else:
-                second[1 + i] = ("c", len(second), d)
-                second.append(("c", 1 + i, d))
-        # corner 0's end a cut partner on the left, corner 1's a bottom
-        # point, inside a spectator cut pair
-        t0, d0 = kinds[0]
-        t1, d1 = kinds[1]
-        third = [statesum._INTERIOR if t0 else ("c", 2, d0), ("c", 5, True),
-                 statesum._INTERIOR if t0 else ("c", 0, d0),
-                 statesum._INTERIOR if t1 else ("b", 2, d1),
-                 ("b", 1, False), ("c", 1, True)]
-        return [(tuple(first), 0), (tuple(second), 1), (tuple(third), 2)]
+                items.append((ch.lower(), ch.isupper()))
+        ends, bottom = [], 0
+        for p, (strand, dot) in enumerate(items):
+            if strand == "T":
+                ends.append(statesum._INTERIOR)
+            elif strand == "|":
+                bottom += 1
+                ends.append(("b", bottom, dot))
+            else:
+                (other,) = [q for q, (s, _) in enumerate(items)
+                            if s == strand and q != p]
+                ends.append(("c", other, dot))
+        return tuple(ends), where
+
+    @classmethod
+    def cuts(cls, view):
+        """(ends, where) realizing ``view``: for a crossing or a cap, the
+        consumed corners' ends as bottom points and as cut partners left of,
+        right of and across the pair, beside spectator strands; for a cup,
+        every position of spectator cuts."""
+        if view is None:
+            return [(cls.build(layout, view)[0], where) for layout in cls.CUPS
+                    for where in range(len(layout) + 1)]
+        return [cls.build(layout, view) for layout in
+                (cls.LOOPS if view[0] == "loop" else cls.CONSUMED)]
 
     @staticmethod
     def slices():
@@ -468,38 +509,50 @@ class TestPlans:
     def test_plans_match_every_term(self):
         for key, terms, consumed, produced, dotted in self.slices():
             plans = statesum._naive_plans(base_tables(), dotted)[key]
-            patterns = statesum._PATTERNS if consumed else (None,)
-            seen = set()
-            for pattern in patterns:
-                for ends, where in self.cuts(pattern):
-                    read = statesum._pattern(ends, where, consumed)
-                    seen.add(read)
-                    plan = plans[read]
+            assert set(plans) == set(statesum._VIEWS if consumed
+                                     else (None,)), key
+            for view, plan in plans.items():
+                for ends, where in self.cuts(view):
+                    case = (key, dotted, ends, where)
+                    assert statesum._view(ends, where, consumed) == view, case
                     full, killed = statesum._apply_terms(
                         ends, where, terms, consumed, produced)
-                    got, dead = statesum._apply_terms(
-                        ends, where, plan.terms, consumed, produced)
-                    case = (key, dotted, ends, where)
-                    assert dead == 0, case
-                    assert got == {k: v for k, v in full.items() if v[0]}, case
+                    got = statesum._rewrite(ends, where, plan, consumed,
+                                            produced)
+                    # distinct edits stay distinct pictures on every cut
+                    assert len({(e2, added) for e2, added, _, _ in got}) \
+                        == len(got) == len(plan.pictures), case
+                    assert {(e2, added): [c, n] for e2, added, c, n in got} \
+                        == {k: v for k, v in full.items() if v[0]}, case
                     assert plan.killed == killed, case
                     assert plan.zero == sum(n for c, n in full.values()
                                             if not c), case
-                    assert sum(n for _, n in got.values()) + killed \
-                        + plan.zero == len(terms), case
-            assert seen == set(patterns), key
-        assert len(statesum._PATTERNS) == 11
+                    assert sum(n for *_, n in got) + killed + plan.zero \
+                        == len(terms), case
+        assert len(statesum._VIEWS) == 27
 
     def test_plans_merge_terms(self):
-        # on two undotted strands the 7-term table's two all-tick pictures
-        # are one term; with both ends interior, all seven terms are one
+        # on two undotted strands from bottom points the 7-term table's two
+        # all-tick pictures are one; with both ends interior, all seven
+        # terms are one picture
         plans = statesum._naive_plans(base_tables(), False)[(1, 0)]
-        plan = plans[(False, False, False, False)]
-        assert (len(plan.terms), plan.killed, plan.zero) == (6, 0, 0)
-        assert [t.n for t in plan.terms] == [1, 1, 1, 2, 1, 1]
-        assert plan.terms[3].coeff == -Q - QI
-        (term,) = plans[(True, False, True, False)].terms
-        assert term.n == 7 and term.coeff == -QI
+        plan = plans[("b", False, "b", False)]
+        assert (len(plan.pictures), plan.killed, plan.zero) == (6, 0, 0)
+        assert [pic.n for pic in plan.pictures] == [1, 1, 1, 2, 1, 1]
+        assert plan.pictures[3].coeff == -Q - QI
+        (pic,) = plans[("t", False, "t", False)].pictures
+        assert pic.n == 7 and pic.coeff == -QI
+
+    def test_expansion_applies_no_terms_once_planned(self):
+        # cups, caps and crossings of all four rotations
+        w = parse("bottom 3 up down down; x+ 2; cup 1 cw; x- 3; x- 2; x+ 1; "
+                  "x- 3; x- 3; cap 3; x+ 1;")
+        want = [expand_states(w, dotted) for dotted in (False, True)]
+        with mock.patch.object(statesum, "_apply_terms",
+                               wraps=statesum._apply_terms) as apply:
+            got = [expand_states(w, dotted) for dotted in (False, True)]
+        assert apply.call_count == 0
+        assert got == want
 
 
 def reference_coordinates(v):
