@@ -112,15 +112,6 @@ class FlatDiagram(_FlatFields):
         """Every chord dotted: one basis diagram of the quotient space."""
         return all(dot for _, _, dot in self.chords)
 
-    def mirror(self) -> "FlatDiagram":
-        """Reflection across the basepoint diameter: i -> n+1-i."""
-        n = self.boundary_count
-        return FlatDiagram.make(
-            n,
-            [(n + 1 - i, n + 1 - j, dot) for i, j, dot in self.chords],
-            [n + 1 - p for p in self.ticks],
-        )
-
     def expand_dots(self) -> "DiagramVector":
         """Replace each dotted chord by (chord) - (two ticks)."""
         dotted = sorted((i, j) for i, j, dot in self.chords if dot)
@@ -546,13 +537,6 @@ class ClassVector:
                 raise ValueError(f"key {s} given twice")
             seen.add(key)
             v.add(s, LaurentPoly.from_json(c))
-        return v
-
-    def reconstruct(self) -> DiagramVector:
-        """The diagram vector sum_S c_S * canonical_rep(S)."""
-        v = DiagramVector(self.boundary_count)
-        for s, c in self._coords.items():
-            v.add_term(canonical_rep(s, self.boundary_count), c)
         return v
 
 

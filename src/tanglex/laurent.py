@@ -95,18 +95,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        r = LaurentPoly.one()
-        for _ in range(n):
-            r = r * self
-        return r
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by q^k."""
-        return LaurentPoly({e + k: a for e, a in self._c.items()})
-
     def invert_q(self) -> "LaurentPoly":
         """Substitute q -> q^-1."""
         return LaurentPoly({-e: a for e, a in self._c.items()})
@@ -169,9 +157,6 @@ class LaurentPoly:
 
     def max_exp(self) -> int:
         return max(self._c)
-
-    def is_monomial(self) -> bool:
-        return len(self._c) == 1
 
     # -- equality / hashing -------------------------------------------------
 

@@ -9,8 +9,10 @@ quarter-turn count carried in CrossingInfo.rot (resolutions are unoriented,
 so rotation only permutes corner labels).
 
 Two table forms are kept: the 7-term undotted form and the equivalent 5-term
-dotted form.  ``evaluate_naive`` expands with the 7-term tables and reduces
-each state inside the diagram space.
+dotted form.  The dp is derived from the 5-term tables and ``evaluate_naive``
+expands with the 7-term tables, reducing each state inside the diagram
+space, so the naive checks the dp on a table set the dp does not read
+(``checks.dotted_equivalence`` checks that the two sets agree).
 
 A naive state is a partial diagram below a cut: for each cut position, the
 far end of its strand (another cut position, a bottom point, or an interior
@@ -28,13 +30,17 @@ term by term.  It reads only a state's cut (the ``ends``), never what is
 closed off below it, so the states are kept grouped by cut, each cut with
 its raw state count; a slice rewrites each distinct cut once, and each state
 of the cut goes to each resulting picture with one ``LaurentPoly`` product.
+No naive cut carries a dot: the bottom strands, the cup's term and the
+7-term tables have none, so no rewrite can make one.  The dots are for the
+dp's local tables, which ``_apply_terms`` derives from the 5-term tables on
+dotted cuts.
 
 What a table does to a cut is decided by the cut's view at the piece.  For
-a consumed pair that is one strand, the view is the loop and the strand's
-dot; otherwise it is, for each of the two consumed corners, the kind of its
-state-side end (interior, a bottom point or a cut position) and its dot (an
-interior end is never dotted).  That is 27 views for a crossing or a cap,
-and a cup has one.  For each (table, view) a plan is derived once, by
+a consumed pair that is one strand, the view is the loop; otherwise it is,
+for each of the two consumed corners, the kind of its state-side end
+(interior, a bottom point or a cut position).  That is 10 views for a
+crossing or a cap, and a cup has one, so the eight crossing tables, the cup
+and the cap have 91 plans.  For each (table, view) a plan is derived once, by
 ``_apply_terms`` with all the table's terms on a sample cut of the view,
 written in marks: the pair sits at positions 0 and 1, and the far field of
 corner 0's end (its bottom point, or its partner's position) is 2, that of
@@ -42,9 +48,9 @@ corner 1's is 3.  The plan keeps each picture that does not sum to zero as
 a cut edit, with its summed coefficient and its term count n (the 7-term
 table's two all-tick pictures become one, -(q + q^-1)): the entries of the
 sample that the picture changes, at their marks, with values that are a
-mark, a bottom point's mark or interior, each with its dot; and the items it
-closes off among the bottom points, in marks.  The plan also counts the
-killed terms and the terms whose pictures sum to zero.  ``expand_states``
+mark, a bottom point's mark or interior; and the items it closes off among
+the bottom points, in marks.  The plan also counts the killed terms and the
+terms whose pictures sum to zero.  ``expand_states``
 then rewrites a cut without ``_apply_terms`` (``_rewrite``): it copies the
 cut (a cup first makes room, shifting the partners at or right of the pair
 by 2), writes each edit's entries with marks 0 and 1 read as the pair's
@@ -54,22 +60,21 @@ refusing a strand left ending in its gap.
 
 The relabelling is exact.  The rewrite tests a position only in the loop
 test, which the view holds, and the cup's and cap's shifts, which are done
-on the concrete cut; otherwise it only moves ends about and compares kinds
-and dots.  So it commutes with renaming the sample's pair positions, far
+on the concrete cut; otherwise it only moves ends about and compares
+kinds.  So it commutes with renaming the sample's pair positions, far
 fields and bottom points to those of any cut of the view: each picture on
 that cut is the sample's picture, renamed.  The renaming is one to one, so
 distinct pictures on the sample stay distinct on every cut and no edit needs
 merging, and an entry a picture leaves as it was on the sample is as it was
-on the cut too.  The plans of the 7-term and of the 5-term tables are each
-derived on the first naive expansion that reads them (``_naive_plans``);
-the dp never reads them.
+on the cut too.  The plans are derived on the first naive expansion
+(``_naive_plans``); the dp never reads them.
 
 Each picture forwards the cut's raw count times n to its new cut.  Killed
-terms and terms whose pictures sum to zero count it times 7 or 5 to the
-number of crossings left, into the pruned tally, and so does a cut whose
-states all cancel after a slice: it adds nothing to the vector, so it is
-retired and not rewritten again.  So the total is exactly 7^c or 5^c, and
-it is checked on every cut that carries a state.
+terms and terms whose pictures sum to zero count it times 7 to the number
+of crossings left, into the pruned tally, and so does a cut whose states
+all cancel after a slice: it adds nothing to the vector, so it is retired
+and not rewritten again.  So the total is exactly 7^c, and it is checked on
+every cut that carries a state.
 
 ``evaluate_dp`` composes slice by slice in the quotient space, carrying
 coordinates in the canonical dotted basis: at most 2^(width+bottom-1) keys
@@ -386,14 +391,9 @@ def _apply_terms(ends, where, terms, consumed, produced):
 # the module docstring), so its pictures are derived once per (table, view),
 # not once per cut, and a cut is rewritten by relabelling them.
 
-# the kind of a consumed corner's state-side end with its dot; an interior
-# end is never dotted
-_END_VIEWS = (("t", False), ("b", False), ("b", True), ("c", False),
-              ("c", True))
-# the 27 views of a crossing or a cap: a loop with its dot, or the kinds and
-# dots of the two consumed corners' ends; a cup's one view is None
-_VIEWS = (tuple(("loop", dot) for dot in (False, True))
-          + tuple(a + b for a in _END_VIEWS for b in _END_VIEWS))
+# the 10 views of a crossing or a cap: a loop, or the kinds of the two
+# consumed corners' ends; a cup's one view is None
+_VIEWS = ("loop",) + tuple((a, b) for a in "tbc" for b in "tbc")
 
 
 def _view(ends, where, consumed):
@@ -402,8 +402,8 @@ def _view(ends, where, consumed):
         return None
     a, b = ends[where], ends[where + 1]
     if a[0] == "c" and a[1] == where + 1:
-        return ("loop", a[2])
-    return (a[0], a[2], b[0], b[2])
+        return "loop"
+    return (a[0], b[0])
 
 
 def _view_sample(view):
@@ -414,24 +414,24 @@ def _view_sample(view):
     bottom point 4 or 5."""
     if view is None:
         return ()
-    if view[0] == "loop":
-        return (("c", 1, view[1]), ("c", 0, view[1]),
+    if view == "loop":
+        return (("c", 1, False), ("c", 0, False),
                 ("b", 4, False), ("b", 5, False))
     sample = [None, None, ("b", 4, False), ("b", 5, False)]
-    for i, (kind, dot) in enumerate((view[:2], view[2:])):
+    for i, kind in enumerate(view):
         if kind == "t":
             sample[i] = _INTERIOR
         else:
-            sample[i] = (kind, 2 + i, dot)
+            sample[i] = (kind, 2 + i, False)
             if kind == "c":
-                sample[2 + i] = ("c", i, dot)
+                sample[2 + i] = ("c", i, False)
     return tuple(sample)
 
 
 class _Picture(NamedTuple):
     coeff: LaurentPoly  # the summed coefficient of the picture's terms
     n: int              # table terms the picture stands for
-    writes: tuple       # (mark, kind, mark or 4 for none, dot): new entries
+    writes: tuple       # (mark, kind, mark or 4 for none): new entries
     added: tuple        # items closed off among the bottom points, in marks
 
 
@@ -459,20 +459,18 @@ def _plan(terms, consumed, produced, view) -> _Plan:
             if e[0] == "c":
                 e = ("c", e[1] + off, e[2])
             if p >= len(sample) or e != sample[p]:
-                writes.append((p, e[0], 4 if e[1] is None else e[1], e[2]))
+                writes.append((p, e[0], 4 if e[1] is None else e[1]))
         pictures.append(_Picture(coeff, n, tuple(writes),
                                  tuple(sorted(added))))
     return _Plan(tuple(pictures), killed, zero)
 
 
-@lru_cache(maxsize=2)
-def _naive_plans(tables: ExpansionTable, dotted: bool) -> dict:
-    """plans[key][view] for every slice the naive expansion applies with
-    the 5-term (dotted) or the 7-term crossing tables, key a crossing's
-    (sign, rot), CUP or CAP.  Each set is derived on the first naive
-    expansion that reads it, not at import; the dp never reads them."""
-    crossings = tables.five if dotted else tables.seven
-    slices = {key: (terms, True, True) for key, terms in crossings.items()}
+@lru_cache(maxsize=1)
+def _naive_plans(tables: ExpansionTable) -> dict:
+    """plans[key][view] for every slice the naive expansion applies, key a
+    crossing's (sign, rot), CUP or CAP.  Derived on the first naive
+    expansion, not at import; the dp never reads them."""
+    slices = {key: (terms, True, True) for key, terms in tables.seven.items()}
     slices[CUP] = (_CUP_TERM_PLAIN, False, True)
     slices[CAP] = (_CAP_TERM, True, False)
     return {key: {view: _plan(terms, consumed, produced, view)
@@ -495,8 +493,8 @@ def _rewrite(ends, where, plan, consumed, produced):
     pictures = []
     for coeff, n, writes, added in plan.pictures:
         out = list(base)
-        for i, kind, x, dot in writes:
-            out[marks[i]] = (kind, marks[x], dot)
+        for i, kind, x in writes:
+            out[marks[i]] = (kind, marks[x], False)
         if not produced:
             _close_gap(out, where)
         if added:
@@ -540,7 +538,7 @@ def _finalize(ends, done, bottom_count: int) -> FlatDiagram:
 # the multilinear (state sum) evaluator
 
 
-def expand_states(word: MorseWord, dotted: bool = False):
+def expand_states(word: MorseWord):
     """Expand every crossing by its table and reduce each state.
 
     The states are grouped by cut, and each cut is rewritten once per slice
@@ -548,12 +546,11 @@ def expand_states(word: MorseWord, dotted: bool = False):
     (DiagramVector, raw_state_count); the count includes the states pruned:
     those of killed terms, of pictures whose terms sum to zero and of cuts
     whose states all cancelled, each counted times the states the crossings
-    left would have made.  So it always equals (7 or 5)^(number of
-    crossings), and ``ConsistencyError`` is raised if it does not.
+    left would have made.  So it always equals 7^(number of crossings), and
+    ``ConsistencyError`` is raised if it does not.
     """
     an = analyze(word)
-    plans = _naive_plans(base_tables(), dotted)
-    branch = 5 if dotted else 7
+    plans = _naive_plans(base_tables())
     k = word.bottom_count
 
     # the states grouped by cut: {ends: [raw count, {done: coeff}]}
@@ -572,7 +569,7 @@ def expand_states(word: MorseWord, dotted: bool = False):
             table = plans[(info.sign, info.rot)]
             consumed = produced = True
             left -= 1
-        after = branch ** left
+        after = 7 ** left
         where = sl.pos - 1
         new = {}
         for ends, (count, states) in cuts.items():
@@ -607,7 +604,7 @@ def expand_states(word: MorseWord, dotted: bool = False):
         total += count
         for done, coeff in states.items():
             vec.add_term(_finalize(ends, done, k), coeff)
-    expected = branch ** len(an.crossings)
+    expected = 7 ** len(an.crossings)
     if total != expected:
         raise ConsistencyError(f"state count {total} != {expected}")
     return vec, total
@@ -615,7 +612,7 @@ def expand_states(word: MorseWord, dotted: bool = False):
 
 def evaluate_naive(word: MorseWord) -> DiagramVector:
     """Full expansion over the 7-term tables, reduced in the diagram space."""
-    return expand_states(word, dotted=False)[0]
+    return expand_states(word)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -193,10 +193,6 @@ def _analyze(word: MorseWord) -> _Analysis:
     return _Analysis(tuple(levels), tuple(crossings))
 
 
-def writhe(word: MorseWord) -> int:
-    return sum(c.sign for c in analyze(word).crossings)
-
-
 # ---------------------------------------------------------------------------
 # the tangle language
 
@@ -462,10 +458,12 @@ def random_move(rng: random.Random, word: MorseWord):
 
 
 def random_word(rng: random.Random, max_crossings: int = 8,
-                bottom: int = 1, max_width: int = 6) -> MorseWord:
+                bottom: int = 1, max_width: int = 7) -> MorseWord:
     """A random valid oriented word, used by the fuzz suites.
 
-    With bottom=1 the result always has exactly 2 endpoints.
+    A cup is drawn only while it leaves the cut at most ``max_width`` wide,
+    so no cut is wider than the larger of ``max_width`` and ``bottom``.  With
+    bottom=1 the result always has exactly 2 endpoints.
     """
     orients = tuple(rng.choice(("up", "down")) for _ in range(bottom))
     slices = []
@@ -476,7 +474,7 @@ def random_word(rng: random.Random, max_crossings: int = 8,
     for _ in range(steps):
         w = len(dirs)
         choices = []
-        if w < max_width:
+        if w + 2 <= max_width:
             choices.append(CUP)
         if budget > 0 and w >= 2:
             choices += [OVER, UNDER]

@@ -41,9 +41,10 @@ class TestOps:
         assert ZERO.eval_at_one() == 0
 
     def test_pow_and_shift(self):
-        assert (q - qi) ** 2 == (q - qi) * (q - qi)
-        assert (q - qi) ** 0 == ONE
-        assert poly("1 + q").shift(-3) == poly("q^-3 + q^-2")
+        # q_power(k) is q^k, and a product with it shifts every exponent by k
+        assert LaurentPoly.q_power(2) == q * q
+        assert LaurentPoly.q_power(0) == ONE
+        assert poly("1 + q") * LaurentPoly.q_power(-3) == poly("q^-3 + q^-2")
 
     def test_int_scalar(self):
         assert 2 * (q + qi) == poly("2q^-1 + 2q")

@@ -57,7 +57,7 @@ class TestTables:
         t = base_tables()
         for terms in t.seven.values():
             for term in terms:
-                assert term.coeff.is_monomial()
+                assert len(term.coeff.terms()) == 1
                 assert abs(term.coeff.coeff(term.coeff.min_exp())) == 1
 
     def test_difference_is_smoothing(self):
@@ -84,10 +84,11 @@ class TestTables:
 
 @st.composite
 def morse_words(draw, max_bottom=3, max_width=7, max_crossings=6,
-                min_bottom=0):
+                min_bottom=0, open_top=False):
     """Valid oriented words with at most max_crossings crossings and every
     cut no wider than max_width, closed down by caps where the strand
-    directions allow."""
+    directions allow.  With ``open_top``, whether to close down is drawn, so
+    a top may keep two adjacent antiparallel points."""
     bottom = draw(st.integers(min_bottom, max_bottom))
     dirs = draw(st.lists(st.sampled_from((1, -1)), min_size=bottom,
                          max_size=bottom))
@@ -116,6 +117,8 @@ def morse_words(draw, max_bottom=3, max_width=7, max_crossings=6,
             parts.append(f"{kind} {p}")
             dirs[p - 1], dirs[p] = dirs[p], dirs[p - 1]
             budget -= 1
+    if open_top and not draw(st.booleans(), label="close down"):
+        return parse("; ".join(parts) + ";")
     while caps := [p for p in range(1, len(dirs)) if dirs[p - 1] == -dirs[p]]:
         p = draw(st.sampled_from(caps))
         parts.append(f"cap {p}")
@@ -143,28 +146,27 @@ class TestNaive:
         rng = random.Random(1)
         for _ in range(10):
             w = random_word(rng, max_crossings=4, bottom=1)
-            _, c7 = expand_states(w)
-            _, c5 = expand_states(w, dotted=True)
-            n = w.crossing_count()
-            assert c7 == 7 ** n and c5 == 5 ** n
+            _, count = expand_states(w)
+            assert count == 7 ** w.crossing_count()
 
-    def test_dotted_expansion_matches_naive(self):
-        rng = random.Random(2)
-        for _ in range(10):
-            w = random_word(rng, max_crossings=4, bottom=rng.choice((1, 2)))
-            assert expand_states(w, dotted=True)[0].expand_dots() == \
-                evaluate_naive(w)
-
-    # dp == naive compares quotient coordinates only; a lost or misjoined
-    # term of the diagram vector shows here
+    # dp == naive compares quotient coordinates only; the skein relation
+    # compares three naive diagram vectors, so a lost or misjoined term of
+    # one shows here
     @settings(max_examples=100, deadline=None)
-    @given(morse_words())
-    def test_dotted_expansion_matches_naive_on_generated_words(self, w):
-        v5, c5 = expand_states(w, dotted=True)
-        v7, c7 = expand_states(w)
-        n = w.crossing_count()
-        assert (c5, c7) == (5 ** n, 7 ** n)
-        assert v5.expand_dots() == v7, str(w)
+    @given(morse_words(), st.data())
+    def test_skein_at_a_crossing_of_generated_words(self, w, data):
+        assume(w.crossing_count())
+        checks.skein_at(w, data.draw(
+            st.integers(0, w.crossing_count() - 1), label="crossing"))
+
+    # the 7-term tables, the cup's term and the bottom strands are undotted,
+    # so no naive picture is dotted, also with antiparallel points at the top
+    @settings(max_examples=100, deadline=None)
+    @given(morse_words(open_top=True))
+    def test_naive_vector_has_no_dotted_chord(self, w):
+        v = evaluate_naive(w)
+        assert not any(dot for d, _ in v.terms() for *_, dot in d.chords), \
+            str(w)
 
     def test_split_circle_kills_everything(self):
         # a crossingless circle beside a strand is an undotted loop
@@ -248,7 +250,7 @@ class TestKernel:
     # bottoms of 2 and more put spectator bits on both sides of a pair, so
     # the sign twist is exercised
     @settings(max_examples=150, deadline=None)
-    @given(morse_words())
+    @given(morse_words(open_top=True))
     def test_dp_matches_naive(self, w):
         assert evaluate_dp(w) == coordinates(evaluate_naive(w)), str(w)
 
@@ -416,7 +418,7 @@ class TestApplyPiece:
         tables.seven = {(s, r): terms for s in (1, -1) for r in range(4)}
         w = parse("bottom 2 up up; x+ 1; x+ 1;")
         with mock.patch.object(statesum, "base_tables", lambda: tables):
-            statesum._naive_plans(tables, False)   # derived outside the count
+            statesum._naive_plans(tables)   # derived outside the count
             with mock.patch.object(statesum, "_rewrite",
                                    wraps=statesum._rewrite) as rewrite:
                 v, count = expand_states(w)
@@ -433,52 +435,49 @@ class TestPlans:
     # layouts of a cut, left to right: "A" and "B" are the consumed corners
     # (the two ends of one strand on a loop view), "a" and "b" their partners
     # when their ends are cut positions; another letter is a spectator strand
-    # between its two positions (dotted when upper case), "|" a spectator
-    # strand from a bottom point and "T" an interior end
+    # between its two positions, "|" a spectator strand from a bottom point
+    # and "T" an interior end
     CONSUMED = (
         "ABba",            # partners right of the pair
         "baAB",            # partners left of it
         "aABb",            # across it
         "|saABbs|",        # inside a strand across the piece
-        "ABbuVVua",        # partners around strands the cap shifts
+        "ABbuvvua",        # partners around strands the cap shifts
         "TbaABvv|",
     )
-    LOOPS = ("AB", "AB|", "|sABvvs", "TABSS")
-    CUPS = ("", "|", "|svvsT", "sVVs|")
+    LOOPS = ("AB", "AB|", "|sABvvs", "TABss")
+    CUPS = ("", "|", "|svvsT", "svvs|")
 
     @staticmethod
     def build(layout, view):
         """(ends, where): the cut of ``layout`` whose corners have ``view``,
         and the position of "A"; bottom points are numbered left to
         right."""
-        items, where = [], None            # (strand, dot) per position
+        strands, where = [], None          # the strand at each position
         for ch in layout:
             if ch == "A":
-                where = len(items)
-            if ch in "AB" and view[0] == "loop":
-                items.append(("L", view[1]))
+                where = len(strands)
+            if ch in "AB" and view == "loop":
+                strands.append("L")
             elif ch in "AB":
-                kind, dot = view[:2] if ch == "A" else view[2:]
-                items.append(({"t": "T", "b": "|"}.get(kind, ch), dot))
+                kind = view[0] if ch == "A" else view[1]
+                strands.append({"t": "T", "b": "|"}.get(kind, ch))
             elif ch in "ab":
-                kind, dot = view[:2] if ch == "a" else view[2:]
-                if kind == "c":
-                    items.append((ch.upper(), dot))
-            elif ch in "|T":
-                items.append((ch, False))
+                if (view[0] if ch == "a" else view[1]) == "c":
+                    strands.append(ch.upper())
             else:
-                items.append((ch.lower(), ch.isupper()))
+                strands.append(ch)
         ends, bottom = [], 0
-        for p, (strand, dot) in enumerate(items):
+        for p, strand in enumerate(strands):
             if strand == "T":
                 ends.append(statesum._INTERIOR)
             elif strand == "|":
                 bottom += 1
-                ends.append(("b", bottom, dot))
+                ends.append(("b", bottom, False))
             else:
-                (other,) = [q for q, (s, _) in enumerate(items)
+                (other,) = [q for q, s in enumerate(strands)
                             if s == strand and q != p]
-                ends.append(("c", other, dot))
+                ends.append(("c", other, False))
         return tuple(ends), where
 
     @classmethod
@@ -491,29 +490,24 @@ class TestPlans:
             return [(cls.build(layout, view)[0], where) for layout in cls.CUPS
                     for where in range(len(layout) + 1)]
         return [cls.build(layout, view) for layout in
-                (cls.LOOPS if view[0] == "loop" else cls.CONSUMED)]
+                (cls.LOOPS if view == "loop" else cls.CONSUMED)]
 
     @staticmethod
     def slices():
-        """(plan key, terms, consumed, produced, dotted) for every table."""
-        out = []
-        for dotted, tables in ((False, base_tables().seven),
-                               (True, base_tables().five)):
-            out += [(key, terms, True, True, dotted)
-                    for key, terms in tables.items()]
-            out += [(tangle.CUP, statesum._CUP_TERM_PLAIN, False, True,
-                     dotted),
-                    (tangle.CAP, statesum._CAP_TERM, True, False, dotted)]
-        return out
+        """(plan key, terms, consumed, produced) for every table."""
+        return ([(key, terms, True, True)
+                 for key, terms in base_tables().seven.items()]
+                + [(tangle.CUP, statesum._CUP_TERM_PLAIN, False, True),
+                   (tangle.CAP, statesum._CAP_TERM, True, False)])
 
     def test_plans_match_every_term(self):
-        for key, terms, consumed, produced, dotted in self.slices():
-            plans = statesum._naive_plans(base_tables(), dotted)[key]
-            assert set(plans) == set(statesum._VIEWS if consumed
-                                     else (None,)), key
-            for view, plan in plans.items():
+        plans = statesum._naive_plans(base_tables())
+        for key, terms, consumed, produced in self.slices():
+            assert set(plans[key]) == set(statesum._VIEWS if consumed
+                                          else (None,)), key
+            for view, plan in plans[key].items():
                 for ends, where in self.cuts(view):
-                    case = (key, dotted, ends, where)
+                    case = (key, ends, where)
                     assert statesum._view(ends, where, consumed) == view, case
                     full, killed = statesum._apply_terms(
                         ends, where, terms, consumed, produced)
@@ -529,28 +523,32 @@ class TestPlans:
                                             if not c), case
                     assert sum(n for *_, n in got) + killed + plan.zero \
                         == len(terms), case
-        assert len(statesum._VIEWS) == 27
+        # one table set: the eight 7-term crossing tables and the cap on
+        # each of the 10 views, the cup on its one
+        assert len(statesum._VIEWS) == 10
+        assert len(plans) == len(self.slices()) == 10
+        assert sum(len(by_view) for by_view in plans.values()) == 91
 
     def test_plans_merge_terms(self):
-        # on two undotted strands from bottom points the 7-term table's two
-        # all-tick pictures are one; with both ends interior, all seven
-        # terms are one picture
-        plans = statesum._naive_plans(base_tables(), False)[(1, 0)]
-        plan = plans[("b", False, "b", False)]
+        # on two strands from bottom points the 7-term table's two all-tick
+        # pictures are one; with both ends interior, all seven terms are one
+        # picture
+        plans = statesum._naive_plans(base_tables())[(1, 0)]
+        plan = plans[("b", "b")]
         assert (len(plan.pictures), plan.killed, plan.zero) == (6, 0, 0)
         assert [pic.n for pic in plan.pictures] == [1, 1, 1, 2, 1, 1]
         assert plan.pictures[3].coeff == -Q - QI
-        (pic,) = plans[("t", False, "t", False)].pictures
+        (pic,) = plans[("t", "t")].pictures
         assert pic.n == 7 and pic.coeff == -QI
 
     def test_expansion_applies_no_terms_once_planned(self):
         # cups, caps and crossings of all four rotations
         w = parse("bottom 3 up down down; x+ 2; cup 1 cw; x- 3; x- 2; x+ 1; "
                   "x- 3; x- 3; cap 3; x+ 1;")
-        want = [expand_states(w, dotted) for dotted in (False, True)]
+        want = expand_states(w)
         with mock.patch.object(statesum, "_apply_terms",
                                wraps=statesum._apply_terms) as apply:
-            got = [expand_states(w, dotted) for dotted in (False, True)]
+            got = expand_states(w)
         assert apply.call_count == 0
         assert got == want
 
@@ -596,8 +594,8 @@ class TestSparseCoordinates:
 
     @settings(max_examples=80, deadline=None)
     @given(morse_words(max_bottom=2, max_width=6, max_crossings=5))
-    def test_dotted_expansions(self, w):
-        v = expand_states(w, dotted=True)[0]
+    def test_naive_expansions(self, w):
+        v = expand_states(w)[0]
         assert coordinates(v) == reference_coordinates(v), str(w)
 
 
@@ -1113,7 +1111,6 @@ class TestBoundedMemory:
         w = random_word(rng)
         evaluate_dp(w)                  # derives the kernel tables once
         expand_states(w)                # and the naive plans
-        expand_states(w, dotted=True)
         before = self.module_cache_sizes()
         words = set()
         while len(words) < 500:
@@ -1124,7 +1121,6 @@ class TestBoundedMemory:
         for w in words:
             evaluate_dp(w)
             expand_states(w)
-            expand_states(w, dotted=True)
             tanglex.tangle_invariant(w, "both")
         assert self.module_cache_sizes() == before
         assert not hasattr(tangle.analyze, "cache_info")

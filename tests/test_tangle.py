@@ -11,7 +11,7 @@ from tanglex.tangle import (CAP, CUP, OVER, UNDER, EndpointCountError,
                             R2Move, R3Move, Slice, TangleSyntaxError,
                             VALID_R3_TRIPLES, WidthError, analyze, apply_move,
                             braid_to_tangle, format_word, move_sites, parse,
-                            random_move, random_word, turning_number, writhe)
+                            random_move, random_word, turning_number)
 
 
 def signs(word):
@@ -39,6 +39,18 @@ class TestParse:
         for _ in range(20):
             w = random_word(rng, max_crossings=4, bottom=rng.choice((0, 1, 2)))
             assert parse(format_word(w)) == w
+
+    @pytest.mark.parametrize("max_width", [2, 4, 6])
+    def test_random_word_respects_max_width(self, max_width):
+        # a cup is drawn only while the cut stays max_width wide, so the
+        # widest cut reaches max_width but never max_width + 1
+        rng = random.Random(max_width)
+        widest = 0
+        for _ in range(300):
+            w = random_word(rng, bottom=rng.randint(0, max_width),
+                            max_width=max_width)
+            widest = max(widest, *map(len, analyze(w).levels))
+        assert widest == max_width
 
     def test_syntax_errors(self):
         with pytest.raises(TangleSyntaxError):
@@ -108,8 +120,8 @@ class TestCrossingSigns:
         assert signs(w) == signs(r)
 
     def test_writhe(self):
-        assert writhe(braid_to_tangle([1, 1, 1], 2)) == 3
-        assert writhe(braid_to_tangle([1, -1], 2)) == 0
+        assert sum(signs(braid_to_tangle([1, 1, 1], 2))) == 3
+        assert sum(signs(braid_to_tangle([1, -1], 2))) == 0
 
 
 class TestTurningNumber:
@@ -174,7 +186,7 @@ class TestTurningNumber:
         shapes = collections.Counter()
         while len(lines) < 2000:
             w = random_word(rng, max_crossings=rng.randint(0, 8),
-                            bottom=rng.randint(0, 2), max_width=8)
+                            bottom=rng.randint(0, 2), max_width=9)
             slices = w.slices[:rng.randint(0, len(w.slices))]
             cups = w.cup_orientations[:sum(s.kind == CUP for s in slices)]
             p = MorseWord(w.bottom_count, slices, w.bottom_orientations, cups)
