@@ -50,7 +50,13 @@ def _load_word(args) -> tuple[MorseWord, list | None]:
     if args.file is not None:
         with open(args.file) as fh:
             return parse(fh.read()), None
-    braid = [int(x) for x in args.braid.replace(",", " ").split()]
+    # items are separated by commas or spaces; an empty item between two
+    # commas or beside a comma at either end is refused, not skipped
+    items = args.braid.split(",")
+    empty = [i for i, item in enumerate(items, 1) if not item.strip()]
+    if len(items) > 1 and empty:
+        raise TangleError(f"--braid {args.braid!r}: item {empty[0]} is empty")
+    braid = [int(x) for item in items for x in item.split()]
     if args.strands is None:
         raise TangleError("--braid requires --strands")
     return braid_to_tangle(braid, args.strands), braid

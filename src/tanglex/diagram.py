@@ -228,19 +228,28 @@ def glue_evaluate(x: FlatDiagram, y: FlatDiagram) -> int:
     """
     if x.boundary_count != y.boundary_count:
         raise ValueError("boundary_count mismatch")
-    sides = []
-    for d in (x, y):
-        edge = {}
-        for i, j, dot in d.chords:
-            edge[i] = (j, dot)
-            edge[j] = (i, dot)
-        for p in d.ticks:
-            edge[p] = (None, False)
-        sides.append(edge)
+    return _glue(x.boundary_count, _ends(x), _ends(y))
 
+
+def _ends(d: FlatDiagram) -> dict:
+    """The edge map of a diagram: boundary point -> (the other end of its
+    chord, dot), or (None, False) for a tick."""
+    edge = {}
+    for i, j, dot in d.chords:
+        edge[i] = (j, dot)
+        edge[j] = (i, dot)
+    for p in d.ticks:
+        edge[p] = (None, False)
+    return edge
+
+
+def _glue(n: int, ends_x: dict, ends_y: dict) -> int:
+    """``glue_evaluate`` of two diagrams on n points, given their
+    ``_ends``."""
+    sides = (ends_x, ends_y)
     result = 1
     seen = [set(), set()]  # points whose x-side / y-side edge was traversed
-    for start in range(1, x.boundary_count + 1):
+    for start in range(1, n + 1):
         for side0 in (0, 1):
             if start in seen[side0]:
                 continue
@@ -559,12 +568,14 @@ def coordinates(v: DiagramVector) -> ClassVector:
     chord of canonical_rep(S) is dotted, and a tick on either side makes its
     component a path, which is 0 when it carries a dot.  So a point of S
     ticked in d, a dotted chord of d leaving S, or an undotted chord of d
-    with one end in S gives 0.  glue_evaluate still decides each sign.
+    with one end in S gives 0.  The gluing still decides each sign; each
+    term's edge map is built once, and each representative's once per call.
     """
     n = v.boundary_count
-    reps = {}
+    reps = {}                          # S -> _ends(canonical_rep(S))
     totals = {}
     for d, c in v.terms():
+        ends = _ends(d)
         dotted = [p for i, j, dot in d.chords if dot for p in (i, j)]
         plain = [(i, j) for i, j, dot in d.chords if not dot]
         for bits in range(1 << len(plain)):
@@ -572,8 +583,8 @@ def coordinates(v: DiagramVector) -> ClassVector:
                                        if bits >> k & 1 for p in pair]))
             rep = reps.get(s)
             if rep is None:
-                rep = reps[s] = canonical_rep(s, n)
-            g = glue_evaluate(d, rep)
+                rep = reps[s] = _ends(canonical_rep(s, n))
+            g = _glue(n, ends, rep)
             if g:
                 # the sign of g * (-1)^(|S|/2)
                 negate = (g < 0) != (len(s) % 4 == 2)

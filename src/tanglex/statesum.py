@@ -29,11 +29,17 @@ reaches an interior vertex is killed.  ``_apply_terms`` is this rewrite,
 term by term.  It reads only a state's cut (the ``ends``), never what is
 closed off below it, so the states are kept grouped by cut, each cut with
 its raw state count; a slice rewrites each distinct cut once, and each state
-of the cut goes to each resulting picture with one ``LaurentPoly`` product.
-No naive cut carries a dot: the bottom strands, the cup's term and the
-7-term tables have none, so no rewrite can make one.  The dots are for the
-dp's local tables, which ``_apply_terms`` derives from the 5-term tables on
-dotted cuts.
+of the cut goes to each resulting picture with at most one product of
+packed ints (below).  No naive cut carries a dot: the bottom strands, the
+cup's term and the 7-term tables have none, so no rewrite can make one.  So
+``expand_states`` keeps each cut as a tuple of ints, an int cut: p >= 0 for
+a strand to cut position p, -b for a strand to bottom point b and one
+negative sentinel, ``_INTERIOR_END``, for an interior end.  The dots are for
+the dp's local tables, which ``_apply_terms`` derives from the 5-term tables
+on dotted cuts, whose entries have the 3-field form (kind, far field, dot).
+``_apply_terms`` and the plans' sample cuts keep that form, and the naive
+turns each of its final cuts into it once (``_dotted_cut``), for the one
+``_finalize`` both share.
 
 What a table does to a cut is decided by the cut's view at the piece.  For
 a consumed pair that is one strand, the view is the loop; otherwise it is,
@@ -47,16 +53,21 @@ corner 0's end (its bottom point, or its partner's position) is 2, that of
 corner 1's is 3.  The plan keeps each picture that does not sum to zero as
 a cut edit, with its summed coefficient and its term count n (the 7-term
 table's two all-tick pictures become one, -(q + q^-1)): the entries of the
-sample that the picture changes, at their marks, with values that are a
-mark, a bottom point's mark or interior; and the items it closes off among
-the bottom points, in marks.  The plan also counts the killed terms and the
-terms whose pictures sum to zero.  ``expand_states``
-then rewrites a cut without ``_apply_terms`` (``_rewrite``): it copies the
-cut (a cup first makes room, shifting the partners at or right of the pair
-by 2), writes each edit's entries with marks 0 and 1 read as the pair's
-positions and 2 and 3 as the far fields of the cut's consumed ends, and a
-cap then deletes the pair and shifts the partners right of it down by 2,
-refusing a strand left ending in its gap.
+sample that the picture changes, each as a pair (target mark, source mark),
+the source being the mark the new entry names, or 4 for an interior end;
+and the items it closes off among the bottom points, in marks.  The plan
+also counts the killed terms and the terms whose pictures sum to zero.
+``expand_states`` then rewrites an int cut without ``_apply_terms``
+(``_rewrite``): it copies the cut (a cup first makes room, shifting the
+partners at or right of the pair by 2), sets out[marks[i]] = marks[x] for
+each write (i, x), with marks = (where, where + 1, ends[where], ends[where
++ 1], interior), and a cap then deletes the pair and shifts the partners
+right of it down by 2, refusing a strand left ending in its gap.  The
+value written carries its kind: on the sample and on every cut of the view
+alike, marks 0 and 1 are cut positions and marks 2 and 3 far fields of the
+kind the view gives the consumed ends, so the cut's value at a source mark
+is of the kind the sample's entry has.  A target is 0 or 1, or 2 or 3 where
+the view makes that consumed end a partner position.
 
 The relabelling is exact.  The rewrite tests a position only in the loop
 test, which the view holds, and the cup's and cap's shifts, which are done
@@ -75,6 +86,28 @@ of crossings left, into the pruned tally, and so does a cut whose states
 all cancel after a slice: it adds nothing to the vector, so it is retired
 and not rewritten again.  So the total is exactly 7^c, and it is checked on
 every cut that carries a state.
+
+The naive carries each state's coefficient as one int.  Every raw term
+coefficient is +-q^+-1 (the cup's and the cap's is 1), so after t crossings
+a state's coefficient has exponents in [-t, t], and q^t * coeff has them in
+[0, 2t].  The naive keeps the value of q^t * coeff at q = 2^B (Kronecker
+substitution), with B = bitlength(7^c) + 1 for a word of c crossings.  The
+distinct picture coefficients of the plans, each times q for a crossing's,
+are numbered once (``_naive_plans``: each picture's ``slot``) and packed
+once per call, so a crossing multiplies a state by one packed int, and a
+picture whose packed coefficient is 1 (every cup's and cap's) multiplies by
+nothing.  Evaluation at 2^B is a ring homomorphism from Z[q], so the sums
+and products of packed ints are exactly those of the polynomials, and a
+final int decodes to its polynomial when every coefficient lies in
+[-2^(B-1), 2^(B-1)).  They do, by L1 norms: a picture of n terms has a
+coefficient of L1 norm at most n and forwards the count n times, so by
+induction over the slices the L1 norms of a cut's states sum to at most its
+raw count (a cancellation only lowers them), which is at most 7^c <
+2^(B-1).  Each final coefficient is read as the balanced base-2^B digits of
+its int, from exponent -c upward in steps of 1.  After decoding, a final
+cut whose states' L1 norms sum to more than its raw count raises
+``ConsistencyError``: by the bound it cannot happen unless the packing is
+at fault, as a total other than 7^c means the counting is.
 
 ``evaluate_dp`` composes slice by slice in the quotient space, carrying
 coordinates in the canonical dotted basis: at most 2^(width+bottom-1) keys
@@ -176,8 +209,12 @@ result int is the forward one, because the packed tables are integer
 matrices and their product is associative; so B (from the forward tables'
 norms), the offset and ``_decode`` are as above.
 
-``expand_states`` and the Burau oracle keep ``LaurentPoly`` arithmetic: they
-are the independent checks of the dp, so they share none of its packing.
+The naive packs on its own (``_naive_width``, ``_naive_value``,
+``_naive_decode``), not with the dp's ``_digits``, ``_value`` and
+``_decode``: it is the dp's independent check, and the two packings differ
+in width, in variable (q against q^2) and in exponent step, so a fault in
+one of them cannot give the same wrong vector on both sides.  The Burau
+oracle keeps ``LaurentPoly`` arithmetic.
 """
 
 from __future__ import annotations
@@ -267,12 +304,15 @@ def base_tables() -> ExpansionTable:
 # ---------------------------------------------------------------------------
 # one slice applied to the cut of partial-diagram states
 #
-# A state is (ends, done):
+# A state is (ends, done).  ``_apply_terms`` reads its cut in the dotted form,
+# which the dp's local states need:
 #   ends[p]  for cut position p (0-based): ('c', partner_position, dot)
 #            | ('b', bottom_point, dot) | ('t', None, dot)
-#   done     frozenset of ('chord', i, j, dot) and ('tick', i) on bottom points
-# The strand dot flag is stored at both ends of a strand.  ``ends`` is the
-# state's cut; the rewrite never reads ``done``.
+# with the strand dot flag stored at both ends of a strand.  No naive cut
+# carries a dot, so ``expand_states`` keeps each cut as a tuple of ints:
+#   ends[p]  partner_position (>= 0) | -bottom_point | _INTERIOR_END
+# done is a frozenset of ('chord', i, j, dot) and ('tick', i) on bottom
+# points.  ``ends`` is the state's cut; the rewrite never reads ``done``.
 
 _CUP_TERM_PLAIN = (_term(ONE, [(2, 3, False)], []),)
 _CUP_TERMS_DOTTED = (_term(ONE, [(2, 3, True)], []),
@@ -280,28 +320,35 @@ _CUP_TERMS_DOTTED = (_term(ONE, [(2, 3, True)], []),
 _CAP_TERM = (_term(ONE, [(0, 1, False)], []),)
 
 _INTERIOR = ("t", None, False)
+_INTERIOR_END = -1 << 62           # below -bottom_point for any word
+
+
+def _dotted_cut(ends) -> tuple:
+    """An int cut of the naive expansion in the dotted form."""
+    return tuple(("c", e, False) if e >= 0 else
+                 _INTERIOR if e == _INTERIOR_END else ("b", -e, False)
+                 for e in ends)
 
 
 def _open_gap(ends, where):
-    """A copy of a cut as a cup at ``where`` leaves it before its pair is
-    written: two empty positions at ``where``, and every partner at or right
-    of it moved up by 2."""
-    out = [("c", e[1] + 2, e[2]) if e[0] == "c" and e[1] >= where else e
-           for e in ends]
-    out[where:where] = [None, None]
+    """A copy of an int cut as a cup at ``where`` leaves it before its pair
+    is written: two empty positions at ``where``, and every partner at or
+    right of it moved up by 2."""
+    out = [e + 2 if e >= where else e for e in ends]
+    out[where:where] = (None, None)
     return out
 
 
 def _close_gap(out, where):
-    """Close a cap's pair at ``where`` in the cut ``out``: delete its two
+    """Close a cap's pair at ``where`` in the int cut ``out``: delete its two
     positions and move every partner right of them down by 2.  A strand
     still ending in the gap means the cut was inconsistent."""
     del out[where:where + 2]
     for i, e in enumerate(out):
-        if e[0] == "c" and e[1] >= where:
-            if e[1] <= where + 1:
+        if e >= where:
+            if e <= where + 1:
                 raise ConsistencyError("cap left a strand ending in its gap")
-            out[i] = ("c", e[1] - 2, e[2])
+            out[i] = e - 2
 
 
 def _apply_terms(ends, where, terms, consumed, produced):
@@ -319,7 +366,12 @@ def _apply_terms(ends, where, terms, consumed, produced):
     cut.  A corner's state-side end is written like an entry of ``ends``; a
     produced corner's is ('c', its own new cut position, False), so a join
     writes a new cut position the same way as an old one."""
-    ends = _open_gap(ends, where) if produced and not consumed else list(ends)
+    if produced and not consumed:          # a cup: make room for the pair
+        ends = [("c", e[1] + 2, e[2]) if e[0] == "c" and e[1] >= where else e
+                for e in ends]
+        ends[where:where] = [None, None]
+    else:
+        ends = list(ends)
     # the state-side end of each corner; corners 2, 3 are read only when
     # the piece produces them
     side = [None, None, ("c", where + 1, False), ("c", where, False)]
@@ -370,8 +422,14 @@ def _apply_terms(ends, where, terms, consumed, produced):
                 if y[0] == "c":
                     out[y[1]] = ("c", x[1], dot)
         else:
-            if consumed and not produced:
-                _close_gap(out, where)
+            if consumed and not produced:  # a cap: close its gap
+                del out[where:where + 2]
+                for i, e in enumerate(out):
+                    if e[0] == "c" and e[1] >= where:
+                        if e[1] <= where + 1:
+                            raise ConsistencyError(
+                                "cap left a strand ending in its gap")
+                        out[i] = ("c", e[1] - 2, e[2])
             key = (tuple(out), frozenset(added))
             acc = outcomes.get(key)
             if acc is None:
@@ -397,13 +455,14 @@ _VIEWS = ("loop",) + tuple((a, b) for a in "tbc" for b in "tbc")
 
 
 def _view(ends, where, consumed):
-    """The view of a cut at the piece whose left corner is ``where``."""
+    """The view of an int cut at the piece whose left corner is ``where``."""
     if not consumed:
         return None
     a, b = ends[where], ends[where + 1]
-    if a[0] == "c" and a[1] == where + 1:
+    if a == where + 1:
         return "loop"
-    return (a[0], b[0])
+    return ("c" if a >= 0 else "t" if a == _INTERIOR_END else "b",
+            "c" if b >= 0 else "t" if b == _INTERIOR_END else "b")
 
 
 def _view_sample(view):
@@ -431,8 +490,9 @@ def _view_sample(view):
 class _Picture(NamedTuple):
     coeff: LaurentPoly  # the summed coefficient of the picture's terms
     n: int              # table terms the picture stands for
-    writes: tuple       # (mark, kind, mark or 4 for none): new entries
+    writes: tuple       # (target mark, source mark): new entries
     added: tuple        # items closed off among the bottom points, in marks
+    slot: int           # the index of q^shift * coeff in the plans' coeffs
 
 
 class _Plan(NamedTuple):
@@ -441,14 +501,20 @@ class _Plan(NamedTuple):
     zero: int           # terms whose pictures sum to zero
 
 
-def _plan(terms, consumed, produced, view) -> _Plan:
+def _plan(terms, consumed, produced, view, slots) -> _Plan:
     """The pictures ``terms`` give on the sample cut of ``view``, each as
-    the edit that makes it: every entry that differs from the sample, at
-    its mark (a cap's output is read back across the gap it closed), and
-    the items it closes off.  An interior value is written with mark 4."""
+    the edit that makes it: every entry that differs from the sample, as
+    (target mark, source mark) (a cap's output is read back across the gap
+    it closed), and the items it closes off.  The source mark is the mark
+    the new entry names, or 4 for an interior end; the sample gives each
+    mark one kind of end, so the value an int cut has at the source mark
+    carries the entry's kind.  Each picture's q^shift * coeff, shift 1 for
+    a crossing and 0 for a cup or a cap, gets the next slot of ``slots``
+    unless it has one."""
     sample = _view_sample(view)
     off = 2 if consumed and not produced else 0
     outcomes, killed = _apply_terms(sample, 0, terms, consumed, produced)
+    shift = _Q if consumed and produced else ONE
     pictures, zero = [], 0
     for (out, added), (coeff, n) in outcomes.items():
         if not coeff:
@@ -459,53 +525,60 @@ def _plan(terms, consumed, produced, view) -> _Plan:
             if e[0] == "c":
                 e = ("c", e[1] + off, e[2])
             if p >= len(sample) or e != sample[p]:
-                writes.append((p, e[0], 4 if e[1] is None else e[1]))
+                writes.append((p, 4 if e[1] is None else e[1]))
+        slot = slots.setdefault(coeff * shift, len(slots))
         pictures.append(_Picture(coeff, n, tuple(writes),
-                                 tuple(sorted(added))))
+                                 tuple(sorted(added)), slot))
     return _Plan(tuple(pictures), killed, zero)
 
 
 @lru_cache(maxsize=1)
-def _naive_plans(tables: ExpansionTable) -> dict:
-    """plans[key][view] for every slice the naive expansion applies, key a
-    crossing's (sign, rot), CUP or CAP.  Derived on the first naive
-    expansion, not at import; the dp never reads them."""
+def _naive_plans(tables: ExpansionTable) -> tuple:
+    """(plans, coeffs): plans[key][view] for every slice the naive
+    expansion applies, key a crossing's (sign, rot), CUP or CAP, and the
+    distinct q^shift * coeff of their pictures, each picture's at its slot.
+    Derived on the first naive expansion, not at import; the dp never reads
+    them."""
     slices = {key: (terms, True, True) for key, terms in tables.seven.items()}
     slices[CUP] = (_CUP_TERM_PLAIN, False, True)
     slices[CAP] = (_CAP_TERM, True, False)
-    return {key: {view: _plan(terms, consumed, produced, view)
-                  for view in (_VIEWS if consumed else (None,))}
-            for key, (terms, consumed, produced) in slices.items()}
+    slots = {}
+    plans = {key: {view: _plan(terms, consumed, produced, view, slots)
+                   for view in (_VIEWS if consumed else (None,))}
+             for key, (terms, consumed, produced) in slices.items()}
+    return plans, tuple(slots)
 
 
 def _rewrite(ends, where, plan, consumed, produced):
-    """The pictures of ``plan`` on one cut of its view, as [(ends', added,
-    coeff, n)]: each edit with mark 0 and 1 read as the pair's positions, 2
-    and 3 as the far fields of the consumed corners' ends and 4 as none.
-    This is what ``_apply_terms`` gives with the table's terms, less the
-    pictures that sum to zero."""
+    """The pictures of ``plan`` on one int cut of its view, as [(ends',
+    added, n, slot)] in the order of ``plan.pictures``: each edit with
+    marks 0 and 1 read as the pair's positions, 2 and 3 as the consumed
+    corners' ends (a partner position or a bottom point) and 4 as an
+    interior end.  This is what ``_apply_terms`` gives with the table's
+    terms, less the pictures that sum to zero."""
     if consumed:
         base = ends
-        marks = (where, where + 1, ends[where][1], ends[where + 1][1], None)
+        marks = (where, where + 1, ends[where], ends[where + 1],
+                 _INTERIOR_END)
     else:
         base = _open_gap(ends, where)
         marks = (where, where + 1)
     pictures = []
-    for coeff, n, writes, added in plan.pictures:
+    for _, n, writes, added, slot in plan.pictures:
         out = list(base)
-        for i, kind, x in writes:
-            out[marks[i]] = (kind, marks[x], False)
+        for i, x in writes:
+            out[marks[i]] = marks[x]
         if not produced:
             _close_gap(out, where)
         if added:
             added = frozenset(
-                ("tick", marks[item[1]]) if item[0] == "tick" else
-                ("chord", min(marks[item[1]], marks[item[2]]),
-                 max(marks[item[1]], marks[item[2]]), item[3])
+                ("tick", -marks[item[1]]) if item[0] == "tick" else
+                ("chord", min(-marks[item[1]], -marks[item[2]]),
+                 max(-marks[item[1]], -marks[item[2]]), item[3])
                 for item in added)
         else:
             added = frozenset()
-        pictures.append((tuple(out), added, coeff, n))
+        pictures.append((tuple(out), added, n, slot))
     return pictures
 
 
@@ -538,27 +611,60 @@ def _finalize(ends, done, bottom_count: int) -> FlatDiagram:
 # the multilinear (state sum) evaluator
 
 
+def _naive_width(crossings: int) -> int:
+    """The naive's digit width B: every coefficient of a state's q^t *
+    coeff lies in [-2^(B-1), 2^(B-1)), since its L1 norm is at most the raw
+    count of its cut, at most 7^crossings (see the module docstring)."""
+    return (7 ** crossings).bit_length() + 1
+
+
+def _naive_value(c: LaurentPoly, width: int) -> int:
+    """c at q = 2^width, for c with no negative exponent."""
+    return sum(a << (width * e) for e, a in c.terms())
+
+
+def _naive_decode(v: int, width: int, offset: int) -> LaurentPoly:
+    """The polynomial whose coefficients are the balanced base-2^width
+    digits of v, in [-2^(width-1), 2^(width-1)), with the lowest digit at
+    exponent offset and each next digit 1 exponent higher."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    coeffs = {}
+    e = offset
+    while v:
+        d = ((v + half) & mask) - half
+        if d:
+            coeffs[e] = d
+        v = (v - d) >> width
+        e += 1
+    return LaurentPoly(coeffs)
+
+
 def expand_states(word: MorseWord):
     """Expand every crossing by its table and reduce each state.
 
-    The states are grouped by cut, and each cut is rewritten once per slice
-    by the edits of the plan of its view (see the module docstring).  Returns
+    The states are grouped by int cut, and each cut is rewritten once per
+    slice by the edits of the plan of its view; each state's coefficient is
+    carried as one packed int (see the module docstring).  Returns
     (DiagramVector, raw_state_count); the count includes the states pruned:
     those of killed terms, of pictures whose terms sum to zero and of cuts
     whose states all cancelled, each counted times the states the crossings
     left would have made.  So it always equals 7^(number of crossings), and
-    ``ConsistencyError`` is raised if it does not.
+    ``ConsistencyError`` is raised if it does not, or if the states of a
+    final cut have a larger L1 norm than its raw count.
     """
     an = analyze(word)
-    plans = _naive_plans(base_tables())
+    plans, coeffs = _naive_plans(base_tables())
     k = word.bottom_count
+    crossings = len(an.crossings)
+    width = _naive_width(crossings)
+    values = [_naive_value(c, width) for c in coeffs]   # by slot
 
-    # the states grouped by cut: {ends: [raw count, {done: coeff}]}
-    cuts = {tuple(("b", p + 1, False) for p in range(k)):
-            [1, {frozenset(): ONE}]}
+    # the states grouped by cut: {ends: [raw count, {done: packed coeff}]}
+    cuts = {tuple(-p - 1 for p in range(k)): [1, {frozenset(): 1}]}
     killed = 0
     ci = iter(an.crossings)
-    left = len(an.crossings)   # crossings above the slice being expanded
+    left = crossings           # crossings above the slice being expanded
     for sl in word.slices:
         if sl.kind == CUP:
             table, consumed, produced = plans[CUP], False, True
@@ -575,25 +681,27 @@ def expand_states(word: MorseWord):
         for ends, (count, states) in cuts.items():
             plan = table[_view(ends, where, consumed)]
             killed += (plan.killed + plan.zero) * count * after
-            for e2, added, c, n in _rewrite(ends, where, plan, consumed,
-                                            produced):
+            for e2, added, n, slot in _rewrite(ends, where, plan, consumed,
+                                               produced):
                 # each picture forwards the cut's raw count to its own target
                 cut = new.get(e2)
                 if cut is None:
                     cut = new[e2] = [0, {}]
                 cut[0] += n * count
                 target = cut[1]
-                for done, coeff in states.items():
+                v = values[slot]
+                for done, x in states.items():
                     if added:
                         done = done | added
-                    p = coeff * c
+                    if v != 1:
+                        x *= v
                     old = target.get(done)
-                    target[done] = p if old is None else old + p
+                    target[done] = x if old is None else old + x
         # cancelled states are dropped, and a cut left with none is retired:
         # its raw count goes to the pruned tally and it is not rewritten again
         cuts = {}
         for e2, (count, states) in new.items():
-            states = {done: c for done, c in states.items() if c}
+            states = {done: x for done, x in states.items() if x}
             if states:
                 cuts[e2] = [count, states]
             else:
@@ -602,9 +710,16 @@ def expand_states(word: MorseWord):
     total = killed
     for ends, (count, states) in cuts.items():
         total += count
-        for done, coeff in states.items():
-            vec.add_term(_finalize(ends, done, k), coeff)
-    expected = 7 ** len(an.crossings)
+        dotted = _dotted_cut(ends)
+        norm = 0
+        for done, x in states.items():
+            coeff = _naive_decode(x, width, -crossings)
+            norm += sum(abs(a) for _, a in coeff.terms())
+            vec.add_term(_finalize(dotted, done, k), coeff)
+        if norm > count:
+            raise ConsistencyError(
+                f"states of L1 norm {norm} on a cut of {count} raw states")
+    expected = 7 ** crossings
     if total != expected:
         raise ConsistencyError(f"state count {total} != {expected}")
     return vec, total

@@ -268,3 +268,20 @@ class TestInputHandling:
     def test_braid_requires_strands(self, capsys):
         code, _, err = run(capsys, "alexander", "--braid", "1 1 1")
         assert code == 2
+
+    @pytest.mark.parametrize("braid, item", [
+        ("1,,2", 2), ("1,2,", 3), (",1", 1), ("1, ,2", 2)])
+    def test_braid_refuses_empty_items(self, capsys, braid, item):
+        for command in ("alexander", "vector"):
+            code, out, err = run(capsys, command, "--braid", braid,
+                                 "--strands", "3")
+            assert code == 2 and out == "", (command, braid)
+            assert f"item {item} is empty" in err, err
+
+    @pytest.mark.parametrize("braid, spaced", [
+        ("1, 2", "1 2"), ("1,2", "1 2"), (" 1 ,-2 ", "1 -2")])
+    def test_braid_commas_separate_items(self, capsys, braid, spaced):
+        want = run(capsys, "alexander", "--braid", spaced, "--strands", "3")
+        assert run(capsys, "alexander", "--braid", braid,
+                   "--strands", "3") == want
+        assert want[0] == 0

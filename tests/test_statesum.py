@@ -424,13 +424,13 @@ class TestApplyPiece:
                 v, count = expand_states(w)
         assert v.is_zero() and count == 49
         (call,) = rewrite.call_args_list
-        assert call.args[:2] == (ends, 0)
+        assert call.args[:2] == ((-1, -2), 0)           # the int cut of ends
         assert call.args[2].pictures == () and call.args[2].zero == 7
 
 
 class TestPlans:
-    """Each (table, view) plan's edits, applied to concrete cuts of its
-    view, give what every term of the table gives."""
+    """Each (table, view) plan's edits, applied to concrete int cuts of its
+    view, give what every term of the table gives on the dotted form."""
 
     # layouts of a cut, left to right: "A" and "B" are the consumed corners
     # (the two ends of one strand on a loop view), "a" and "b" their partners
@@ -450,9 +450,9 @@ class TestPlans:
 
     @staticmethod
     def build(layout, view):
-        """(ends, where): the cut of ``layout`` whose corners have ``view``,
-        and the position of "A"; bottom points are numbered left to
-        right."""
+        """(ends, where): the int cut of ``layout`` whose corners have
+        ``view``, and the position of "A"; bottom points are numbered left
+        to right."""
         strands, where = [], None          # the strand at each position
         for ch in layout:
             if ch == "A":
@@ -470,14 +470,14 @@ class TestPlans:
         ends, bottom = [], 0
         for p, strand in enumerate(strands):
             if strand == "T":
-                ends.append(statesum._INTERIOR)
+                ends.append(statesum._INTERIOR_END)
             elif strand == "|":
                 bottom += 1
-                ends.append(("b", bottom, False))
+                ends.append(-bottom)
             else:
                 (other,) = [q for q, s in enumerate(strands)
                             if s == strand and q != p]
-                ends.append(("c", other, False))
+                ends.append(other)
         return tuple(ends), where
 
     @classmethod
@@ -501,27 +501,39 @@ class TestPlans:
                    (tangle.CAP, statesum._CAP_TERM, True, False)])
 
     def test_plans_match_every_term(self):
-        plans = statesum._naive_plans(base_tables())
+        plans, coeffs = statesum._naive_plans(base_tables())
         for key, terms, consumed, produced in self.slices():
             assert set(plans[key]) == set(statesum._VIEWS if consumed
                                           else (None,)), key
+            shift = Q if consumed and produced else ONE
             for view, plan in plans[key].items():
+                for pic in plan.pictures:
+                    assert coeffs[pic.slot] == pic.coeff * shift, (key, view)
+                    # (target mark, source mark): a target is a pair
+                    # position or a consumed end's partner position
+                    assert all(i in (0, 1) or view[i - 2] == "c"
+                               for i, _ in pic.writes), (key, view)
                 for ends, where in self.cuts(view):
                     case = (key, ends, where)
                     assert statesum._view(ends, where, consumed) == view, case
                     full, killed = statesum._apply_terms(
-                        ends, where, terms, consumed, produced)
+                        statesum._dotted_cut(ends), where, terms, consumed,
+                        produced)
                     got = statesum._rewrite(ends, where, plan, consumed,
                                             produced)
                     # distinct edits stay distinct pictures on every cut
                     assert len({(e2, added) for e2, added, _, _ in got}) \
                         == len(got) == len(plan.pictures), case
-                    assert {(e2, added): [c, n] for e2, added, c, n in got} \
+                    assert [slot for *_, slot in got] \
+                        == [pic.slot for pic in plan.pictures], case
+                    assert {(statesum._dotted_cut(e2), added): [pic.coeff, n]
+                            for (e2, added, n, _), pic
+                            in zip(got, plan.pictures)} \
                         == {k: v for k, v in full.items() if v[0]}, case
                     assert plan.killed == killed, case
                     assert plan.zero == sum(n for c, n in full.values()
                                             if not c), case
-                    assert sum(n for *_, n in got) + killed + plan.zero \
+                    assert sum(n for _, _, n, _ in got) + killed + plan.zero \
                         == len(terms), case
         # one table set: the eight 7-term crossing tables and the cap on
         # each of the 10 views, the cup on its one
@@ -533,13 +545,28 @@ class TestPlans:
         # on two strands from bottom points the 7-term table's two all-tick
         # pictures are one; with both ends interior, all seven terms are one
         # picture
-        plans = statesum._naive_plans(base_tables())[(1, 0)]
+        plans = statesum._naive_plans(base_tables())[0][(1, 0)]
         plan = plans[("b", "b")]
         assert (len(plan.pictures), plan.killed, plan.zero) == (6, 0, 0)
         assert [pic.n for pic in plan.pictures] == [1, 1, 1, 2, 1, 1]
         assert plan.pictures[3].coeff == -Q - QI
         (pic,) = plans[("t", "t")].pictures
         assert pic.n == 7 and pic.coeff == -QI
+
+    def test_cap_plans_write_targets_from_sources(self):
+        # (target mark, source mark): a cap joining corner 0's partner
+        # (mark 2) to corner 1's bottom point (mark 3) writes the bottom
+        # point at the partner, and joining two partners writes each at the
+        # other
+        plans = statesum._naive_plans(base_tables())[0][tangle.CAP]
+        assert plans[("c", "b")].pictures[0].writes == ((2, 3),)
+        assert plans[("c", "c")].pictures[0].writes == ((2, 3), (3, 2))
+        # positions 0 and 3 are joined, and so are 1 and 2: a cap at 0
+        # writes 2 at position 3 and 3 at position 2, and closing its gap
+        # leaves one strand between positions 0 and 1
+        (pic,) = statesum._rewrite((3, 2, 1, 0), 0, plans[("c", "c")], True,
+                                   False)
+        assert pic[0] == (1, 0)
 
     def test_expansion_applies_no_terms_once_planned(self):
         # cups, caps and crossings of all four rotations
@@ -551,6 +578,67 @@ class TestPlans:
             got = expand_states(w)
         assert apply.call_count == 0
         assert got == want
+
+
+class TestNaivePacking:
+    """The naive carries each state's coefficient as one int, the value of
+    q^t * coeff at q = 2^B (see the statesum module docstring)."""
+
+    NINE = ("bottom 2 up up; x+ 1; x+ 1; cup 2 ccw; x- 3; x+ 1; x- 2; x+ 2; "
+            "x- 2; x+ 1; cup 4 cw; x+ 1; cap 1; cap 3; cup 3 ccw; cap 3;")
+
+    def test_expansion_multiplies_no_polynomials(self):
+        w = parse(self.NINE)
+        want = expand_states(w)            # the plans derived outside
+        calls = []
+        mul = LaurentPoly.__mul__
+
+        def counting(a, b):
+            calls.append(b)
+            return mul(a, b)
+
+        with mock.patch.object(LaurentPoly, "__mul__", counting), \
+                mock.patch.object(LaurentPoly, "__rmul__", counting):
+            got = expand_states(w)
+        assert w.crossing_count() == 9 and got[1] == 7 ** 9
+        assert calls == [] and got == want
+
+    @staticmethod
+    def long_narrow_words():
+        """40 seeded words with 16-24 crossings and cuts at most 4 wide: the
+        digit width reaches 69 bits and the offset -24."""
+        rng = random.Random(4040)
+        words = []
+        while len(words) < 40:
+            w = random_word(rng, bottom=rng.randrange(3), max_width=4,
+                            max_crossings=32)
+            if 16 <= w.crossing_count() <= 24:
+                words.append(w)
+        return words
+
+    def test_dp_matches_naive_on_long_narrow_words(self):
+        words = self.long_narrow_words()
+        assert max(w.crossing_count() for w in words) == 24
+        assert statesum._naive_width(24) == 69
+        for w in words:
+            assert evaluate_dp(w) == coordinates(evaluate_naive(w)), str(w)
+
+    def test_too_narrow_digits_are_caught(self):
+        # a naive coefficient of 5 does not fit 3-bit digits
+        w = parse("bottom 3 down down down; x- 1; x+ 2; x- 1; x- 1; x+ 2;")
+        with mock.patch.object(statesum, "_naive_width", lambda c: 3):
+            with pytest.raises((tanglex.ConsistencyError,
+                                invariant.EvaluatorMismatchError)):
+                invariant.tangle_invariant(w, "both")
+
+    def test_l1_guard(self):
+        # at 2-bit digits this word's last cut decodes to states of L1
+        # norm 5, more than its 4 raw states can give
+        w = parse("bottom 3 up up up; x+ 1; x- 2; x+ 1; cup 3 ccw; cap 2;")
+        expand_states(w)
+        with mock.patch.object(statesum, "_naive_width", lambda c: 2):
+            with pytest.raises(tanglex.ConsistencyError, match="L1 norm"):
+                expand_states(w)
 
 
 def reference_coordinates(v):
