@@ -228,28 +228,19 @@ def glue_evaluate(x: FlatDiagram, y: FlatDiagram) -> int:
     """
     if x.boundary_count != y.boundary_count:
         raise ValueError("boundary_count mismatch")
-    return _glue(x.boundary_count, _ends(x), _ends(y))
+    sides = []
+    for d in (x, y):
+        edge = {}
+        for i, j, dot in d.chords:
+            edge[i] = (j, dot)
+            edge[j] = (i, dot)
+        for p in d.ticks:
+            edge[p] = (None, False)
+        sides.append(edge)
 
-
-def _ends(d: FlatDiagram) -> dict:
-    """The edge map of a diagram: boundary point -> (the other end of its
-    chord, dot), or (None, False) for a tick."""
-    edge = {}
-    for i, j, dot in d.chords:
-        edge[i] = (j, dot)
-        edge[j] = (i, dot)
-    for p in d.ticks:
-        edge[p] = (None, False)
-    return edge
-
-
-def _glue(n: int, ends_x: dict, ends_y: dict) -> int:
-    """``glue_evaluate`` of two diagrams on n points, given their
-    ``_ends``."""
-    sides = (ends_x, ends_y)
     result = 1
     seen = [set(), set()]  # points whose x-side / y-side edge was traversed
-    for start in range(1, n + 1):
+    for start in range(1, x.boundary_count + 1):
         for side0 in (0, 1):
             if start in seen[side0]:
                 continue
@@ -568,28 +559,43 @@ def coordinates(v: DiagramVector) -> ClassVector:
     chord of canonical_rep(S) is dotted, and a tick on either side makes its
     component a path, which is 0 when it carries a dot.  So a point of S
     ticked in d, a dotted chord of d leaving S, or an undotted chord of d
-    with one end in S gives 0.  The gluing still decides each sign; each
-    term's edge map is built once, and each representative's once per call.
+    with one end in S gives 0.
+
+    For such an S the pairing is (-1)^loops, where loops counts the cycles
+    formed by d's chords on S alternating with the rainbow chords
+    s[i] -- s[m-1-i] of sorted S = (s[0], ..., s[m-1]); no diagram is built
+    or glued.  Proof: take a point outside S.  The representative ticks it,
+    and d either ticks it or holds it in an undotted chord with both ends
+    outside S, so its component is an undotted path, with factor 1.  Every
+    point of S lies on a chord on both sides, so the components through S
+    are closed loops, and each one holds a dotted rainbow chord, with factor
+    -1.  So each term adds (-1)^(loops + |S|/2) * c to c_S.
     """
-    n = v.boundary_count
-    reps = {}                          # S -> _ends(canonical_rep(S))
     totals = {}
     for d, c in v.terms():
-        ends = _ends(d)
+        mate = {}
+        for i, j, _ in d.chords:
+            mate[i] = j
+            mate[j] = i
         dotted = [p for i, j, dot in d.chords if dot for p in (i, j)]
         plain = [(i, j) for i, j, dot in d.chords if not dot]
         for bits in range(1 << len(plain)):
             s = tuple(sorted(dotted + [p for k, pair in enumerate(plain)
                                        if bits >> k & 1 for p in pair]))
-            rep = reps.get(s)
-            if rep is None:
-                rep = reps[s] = _ends(canonical_rep(s, n))
-            g = _glue(n, ends, rep)
-            if g:
-                # the sign of g * (-1)^(|S|/2)
-                negate = (g < 0) != (len(s) % 4 == 2)
-                totals[s] = totals.get(s, ZERO) + (-c if negate else c)
-    return ClassVector(n, totals)
+            rainbow = dict(zip(s, reversed(s)))
+            # the parity of loops + |S|/2
+            odd = len(s) // 2
+            for p in s:
+                if p in rainbow:
+                    odd += 1
+                    # walk the loop, a rainbow chord then a chord of d, and
+                    # drop each rainbow chord as it is crossed
+                    while p in rainbow:
+                        r = rainbow.pop(p)
+                        del rainbow[r]
+                        p = mate[r]
+            totals[s] = totals.get(s, ZERO) + (-c if odd & 1 else c)
+    return ClassVector(v.boundary_count, totals)
 
 
 def saddle_element() -> DiagramVector:

@@ -107,7 +107,16 @@ raw count (a cancellation only lowers them), which is at most 7^c <
 its int, from exponent -c upward in steps of 1.  After decoding, a final
 cut whose states' L1 norms sum to more than its raw count raises
 ``ConsistencyError``: by the bound it cannot happen unless the packing is
-at fault, as a total other than 7^c means the counting is.
+at fault, as a total other than 7^c means the counting is.  That bound is
+loose (7^9 raw states against about 9 kept terms), so the decode also
+checks each digit exactly.  Every crossing multiplies a state by q * coeff,
+coeff a sum of +-q^+-1, and the cup and the cap by 1, so q^c * coeff is a
+polynomial in q^2 of degree at most 2c: every digit at an odd distance from
+exponent -c, and every digit above exponent c, is 0.  A coefficient too wide
+for its digit would leave a carry of +-1 in the odd digit above it, so
+``_naive_decode`` raises ``ConsistencyError`` on any nonzero digit there.
+The L1 guard still sees a fault that leaves every digit on its exponent,
+such as a packed coefficient scaled by a constant.
 
 ``evaluate_dp`` composes slice by slice in the quotient space, carrying
 coordinates in the canonical dotted basis: at most 2^(width+bottom-1) keys
@@ -626,7 +635,12 @@ def _naive_value(c: LaurentPoly, width: int) -> int:
 def _naive_decode(v: int, width: int, offset: int) -> LaurentPoly:
     """The polynomial whose coefficients are the balanced base-2^width
     digits of v, in [-2^(width-1), 2^(width-1)), with the lowest digit at
-    exponent offset and each next digit 1 exponent higher."""
+    exponent offset and each next digit 1 exponent higher.
+
+    v packs q^c * coeff for a state of a word of c = -offset crossings,
+    a polynomial in q^2 of degree at most 2c, so ``ConsistencyError`` is
+    raised on a nonzero digit at an odd distance from offset or above
+    exponent c (see the module docstring)."""
     half = 1 << (width - 1)
     mask = (1 << width) - 1
     coeffs = {}
@@ -634,6 +648,11 @@ def _naive_decode(v: int, width: int, offset: int) -> LaurentPoly:
     while v:
         d = ((v + half) & mask) - half
         if d:
+            if (e - offset) & 1 or e > -offset:
+                raise ConsistencyError(
+                    f"packed coefficient has digit {d} at exponent {e}, but "
+                    f"{-offset} crossings give only exponents {offset}, "
+                    f"{offset + 2}, ..., {-offset}")
             coeffs[e] = d
         v = (v - d) >> width
         e += 1
@@ -650,8 +669,10 @@ def expand_states(word: MorseWord):
     those of killed terms, of pictures whose terms sum to zero and of cuts
     whose states all cancelled, each counted times the states the crossings
     left would have made.  So it always equals 7^(number of crossings), and
-    ``ConsistencyError`` is raised if it does not, or if the states of a
-    final cut have a larger L1 norm than its raw count.
+    ``ConsistencyError`` is raised if it does not, if a packed coefficient
+    has a nonzero digit off the exponents -c, -c + 2, ..., c for c
+    crossings, or if the states of a final cut have a larger L1 norm than
+    its raw count.
     """
     an = analyze(word)
     plans, coeffs = _naive_plans(base_tables())

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -274,6 +275,43 @@ class TestCoordinates:
                         cb = coordinates(DiagramVector.single(b))
                         sign = glue_evaluate(a, b) * (-1) ** (len(s) // 2)
                         assert ca == cb.scale(LaurentPoly.monomial(sign))
+
+    def test_loop_signs_match_gluing_on_every_basis_diagram(self):
+        # c_S = (-1)^(|S|/2) <d, canonical_rep(S)> by one gluing per even
+        # subset, on every basis diagram on n <= 8 points with every dot
+        # pattern
+        count = 0
+        for n in range(9):
+            reps = [(s, canonical_rep(s, n)) for s in even_subsets(n)]
+            for d in enumerate_basis(n):
+                chords = sorted(d.chords)
+                for dots in range(1 << len(chords)):
+                    dd = fd(n, [(i, j, bool(dots >> k & 1))
+                                for k, (i, j, _) in enumerate(chords)],
+                            d.ticks)
+                    want = ClassVector(n)
+                    for s, rep in reps:
+                        g = glue_evaluate(dd, rep) * (-1) ** (len(s) // 2)
+                        if g:
+                            want.add(s, LaurentPoly.monomial(g))
+                    assert coordinates(DiagramVector.single(dd)) == want, dd
+                    count += 1
+        assert count == 2849
+
+    def test_coordinates_glue_no_diagrams(self):
+        w = tanglex.parse("bottom 4 up up up up; x- 3; cup 1 cw; cap 2; "
+                          "x+ 1; x+ 3; x+ 1; x+ 2; cup 4 ccw; x- 4; x+ 5; "
+                          "cap 5; x- 3; x- 1;")
+        v = tanglex.evaluate_naive(w)
+        want = coordinates(v)
+        assert w.crossing_count() == 9 and len(v) == 55 and len(want) == 46
+
+        def refuse(*args):
+            raise AssertionError("coordinates built or glued a diagram")
+
+        with mock.patch.object(tanglex.diagram, "canonical_rep", refuse), \
+                mock.patch.object(tanglex.diagram, "glue_evaluate", refuse):
+            assert coordinates(v) == want
 
     def test_dotted_class_matches_coordinates(self):
         for n in (2, 4, 6):

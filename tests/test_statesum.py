@@ -631,12 +631,38 @@ class TestNaivePacking:
                                 invariant.EvaluatorMismatchError)):
                 invariant.tangle_invariant(w, "both")
 
+    def test_too_narrow_digits_are_caught_by_the_naive_alone(self):
+        # the coefficient of 5 overflows a 3-bit digit and carries 1 into
+        # the odd digit above it; the L1 guard let this through
+        w = parse("bottom 3 down down down; x- 1; x+ 2; x- 1; x- 1; x+ 2;")
+        expand_states(w)
+        with mock.patch.object(statesum, "_naive_width", lambda c: 3):
+            with pytest.raises(tanglex.ConsistencyError, match="exponent"):
+                expand_states(w)
+
+    def test_decode_refuses_digits_off_the_even_exponents(self):
+        # two crossings: q^2 * coeff has digits at offsets 0, 2 and 4 only
+        assert (statesum._naive_decode(1 + (3 << 8) - (1 << 16), 4, -2)
+                == LaurentPoly({-2: 1, 0: 3, 2: -1}))
+        for v in (1 << 4, 1 << 12, -(1 << 4), 1 << 24):
+            with pytest.raises(tanglex.ConsistencyError, match="exponent"):
+                statesum._naive_decode(v, 4, -2)
+
     def test_l1_guard(self):
         # at 2-bit digits this word's last cut decodes to states of L1
-        # norm 5, more than its 4 raw states can give
+        # norm 5, more than its 4 raw states can give; every overflow also
+        # carries into an odd digit, which _naive_decode refuses first
         w = parse("bottom 3 up up up; x+ 1; x- 2; x+ 1; cup 3 ccw; cap 2;")
         expand_states(w)
         with mock.patch.object(statesum, "_naive_width", lambda c: 2):
+            with pytest.raises(tanglex.ConsistencyError, match="exponent"):
+                expand_states(w)
+        # every packed picture coefficient doubled keeps each digit on its
+        # exponent, so only the L1 guard sees it: the final cut's states
+        # have L1 norm 2^5 times their true norm
+        value = statesum._naive_value
+        with mock.patch.object(statesum, "_naive_value",
+                               lambda c, width: 2 * value(c, width)):
             with pytest.raises(tanglex.ConsistencyError, match="L1 norm"):
                 expand_states(w)
 
