@@ -595,7 +595,10 @@ def coordinates(v: DiagramVector) -> ClassVector:
                         del rainbow[r]
                         p = mate[r]
             totals[s] = totals.get(s, ZERO) + (-c if odd & 1 else c)
-    return ClassVector(v.boundary_count, totals)
+    # each key is a sorted tuple of chord ends, so even: no need for ``add``
+    cv = ClassVector(v.boundary_count)
+    cv._coords = {s: c for s, c in totals.items() if c}
+    return cv
 
 
 def saddle_element() -> DiagramVector:

@@ -82,10 +82,12 @@ on the cut too.  The plans are derived on the first naive expansion
 
 Each picture forwards the cut's raw count times n to its new cut.  Killed
 terms and terms whose pictures sum to zero count it times 7 to the number
-of crossings left, into the pruned tally, and so does a cut whose states
-all cancel after a slice: it adds nothing to the vector, so it is retired
-and not rewritten again.  So the total is exactly 7^c, and it is checked on
-every cut that carries a state.
+of crossings left, into the pruned tally.  A state whose coefficient
+cancels to 0 is dropped from its new cut as it cancels, and the cut is
+noted; after the slice (a later picture may refill it), each noted cut left
+with no state is counted into the tally the same way: it adds nothing to
+the vector, so it is retired and not rewritten again.  So the total is
+exactly 7^c, and it is checked on every cut that carries a state.
 
 The naive carries each state's coefficient as one int.  Every raw term
 coefficient is +-q^+-1 (the cup's and the cap's is 1), so after t crossings
@@ -592,28 +594,27 @@ def _rewrite(ends, where, plan, consumed, produced):
 
 
 def _finalize(ends, done, bottom_count: int) -> FlatDiagram:
-    w = len(ends)
-    n = bottom_count + w
-
-    def idx(pos0):
-        return bottom_count + w - pos0
-
+    """The diagram of a final cut in the dotted form, with the items
+    ``done`` closed off below it.  Cut position p is boundary point n - p;
+    every chord is written smaller point first, as ``FlatDiagram`` stores
+    it (``done`` holds them so already)."""
+    n = bottom_count + len(ends)
     chords = []
     ticks = []
     for item in done:
         if item[0] == "chord":
-            chords.append((item[1], item[2], item[3]))
+            chords.append(item[1:])
         else:
             ticks.append(item[1])
     for p, e in enumerate(ends):
         if e[0] == "c":
             if e[1] > p:
-                chords.append((idx(p), idx(e[1]), e[2]))
+                chords.append((n - e[1], n - p, e[2]))
         elif e[0] == "b":
-            chords.append((e[1], idx(p), e[2]))
+            chords.append((e[1], n - p, e[2]))
         else:
-            ticks.append(idx(p))
-    return FlatDiagram.make(n, chords, ticks)
+            ticks.append(n - p)
+    return FlatDiagram(n, frozenset(chords), frozenset(ticks))
 
 
 # ---------------------------------------------------------------------------
@@ -667,12 +668,12 @@ def expand_states(word: MorseWord):
     carried as one packed int (see the module docstring).  Returns
     (DiagramVector, raw_state_count); the count includes the states pruned:
     those of killed terms, of pictures whose terms sum to zero and of cuts
-    whose states all cancelled, each counted times the states the crossings
-    left would have made.  So it always equals 7^(number of crossings), and
-    ``ConsistencyError`` is raised if it does not, if a packed coefficient
-    has a nonzero digit off the exponents -c, -c + 2, ..., c for c
-    crossings, or if the states of a final cut have a larger L1 norm than
-    its raw count.
+    left with no state after a slice (a state is dropped as it cancels),
+    each counted times the states the crossings left would have made.  So
+    it always equals 7^(number of crossings), and ``ConsistencyError`` is
+    raised if it does not, if a packed coefficient has a nonzero digit off
+    the exponents -c, -c + 2, ..., c for c crossings, or if the states of a
+    final cut have a larger L1 norm than its raw count.
     """
     an = analyze(word)
     plans, coeffs = _naive_plans(base_tables())
@@ -699,6 +700,7 @@ def expand_states(word: MorseWord):
         after = 7 ** left
         where = sl.pos - 1
         new = {}
+        emptied = []           # the new cuts a state cancelled in
         for ends, (count, states) in cuts.items():
             plan = table[_view(ends, where, consumed)]
             killed += (plan.killed + plan.zero) * count * after
@@ -717,16 +719,23 @@ def expand_states(word: MorseWord):
                     if v != 1:
                         x *= v
                     old = target.get(done)
-                    target[done] = x if old is None else old + x
-        # cancelled states are dropped, and a cut left with none is retired:
-        # its raw count goes to the pruned tally and it is not rewritten again
-        cuts = {}
-        for e2, (count, states) in new.items():
-            states = {done: x for done, x in states.items() if x}
-            if states:
-                cuts[e2] = [count, states]
-            else:
-                killed += count * after
+                    if old is not None:
+                        x += old
+                        if not x:
+                            # a cancelled state is dropped where it cancels
+                            del target[done]
+                            emptied.append(e2)
+                            continue
+                    target[done] = x
+        # a cut a state cancelled in may have been refilled later in the
+        # slice; one still left with no state is retired: its raw count goes
+        # to the pruned tally and it is not rewritten again
+        for e2 in emptied:
+            cut = new.get(e2)
+            if cut is not None and not cut[1]:
+                killed += cut[0] * after
+                del new[e2]
+        cuts = new
     vec = DiagramVector(word.endpoint_count)
     total = killed
     for ends, (count, states) in cuts.items():

@@ -427,6 +427,33 @@ class TestApplyPiece:
         assert call.args[:2] == ((-1, -2), 0)           # the int cut of ends
         assert call.args[2].pictures == () and call.args[2].zero == 7
 
+    @pytest.mark.parametrize("text, raw", [
+        # at the cap a state of the cut (-3,) cancels and another stays
+        ("bottom 3 down up down; x- 1; cap 1;", 7),
+        # at the second crossing the only state of the cut (interior,
+        # interior) cancels, and later states of the slice fill it again
+        ("bottom 2 down up; x+ 1; x+ 1; cap 1;", 49),
+    ])
+    def test_only_cuts_left_empty_after_the_slice_are_retired(self, text,
+                                                               raw):
+        w = parse(text)
+        v, count = expand_states(w)
+        assert count == raw
+        assert not v.is_zero()
+        assert coordinates(v) == evaluate_dp(w)
+
+    def test_retired_cut_is_not_rewritten_again(self):
+        # the only state of the cut (-1, interior) cancels at the first cap,
+        # so the cut is retired there and the second cap does not rewrite it
+        w = parse("bottom 2 up down; cup 3 cw; x+ 2; cap 2; cap 1;")
+        statesum._naive_plans(base_tables())   # derived outside the count
+        with mock.patch.object(statesum, "_rewrite",
+                               wraps=statesum._rewrite) as rewrite:
+            v, count = expand_states(w)
+        assert count == 7
+        assert len(rewrite.call_args_list) == 9
+        assert coordinates(v) == evaluate_dp(w)
+
 
 class TestPlans:
     """Each (table, view) plan's edits, applied to concrete int cuts of its
