@@ -67,8 +67,6 @@ def tangle_invariant(word: MorseWord, evaluator: str = "dp") -> ClassVector:
     """The image of the tangle in the quotient space, in canonical
     coordinates.  Invariant under Reidemeister II and III; each R1 curl
     multiplies it by -q or -q^-1."""
-    if word.endpoint_count % 2:
-        raise EndpointCountError("tangle boundary size must be even")
     if evaluator == "dp":
         return evaluate_dp(word)
     if evaluator == "naive":

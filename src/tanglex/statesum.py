@@ -130,10 +130,11 @@ entries that create or destroy the pair as a whole (a crossing taking the
 pair 00 <-> 11, a cap destroying 11, a cup creating 11), a twist
 (-1)^(floor(lo/2) + floor(hi/2)), where lo / hi count the key's bits below /
 above the pair.  The local tables are derived from the 5-term tables by
-diagram surgery on a 3-point cut, each once, on the first dp evaluation
-that reads it (no braid closure reads the rot 1 and 3 crossings); no
-transition cache is kept, and the derived tables are all the dp keeps
-between evaluations.
+diagram surgery on a 3-point cut.  ``_kernel_table(key, back)`` derives
+each table, and each transpose (below), once, on the first dp evaluation
+that reads it (no braid closure reads the rot 1 and 3 crossings), and
+caches it: at most 10 slice types times 2 directions.  No transition cache
+is kept, and these tables are all the dp keeps between evaluations.
 
 The dp's work at a slice grows with the live keys at its cut, about
 2^(bottom + width), and ``braid_to_tangle`` puts every cup before the braid
@@ -170,11 +171,12 @@ from exponent -(sum of s) upward in steps of 2.
 B depends only on the bottom count and the row norms of the word's slices:
 every 6-strand 19-letter knot braid has B = 38, but words of varied shapes
 change it from word to word, so no table is kept packed at any B.  Each
-table keeps instead the operands its form reads (below) with every
-coefficient c as its digits, the coefficients of q^s * c as a polynomial in
-q^2, derived with the table.  ``evaluate_dp`` packs only the tables its
-steps read, at the word's B, with one shift and add per digit; the operand
-of a FAN_OUT or FAN_IN table is a sign and is not packed.
+cached table, forward or transposed, keeps instead the operands its form
+reads (below) with every coefficient c as its digits, the coefficients of
+q^s * c as a polynomial in q^2, derived with the table.  ``evaluate_dp``
+packs only the tables its steps read, in the direction it reads them, at
+the word's B, with one shift and add per digit; the operand of a FAN_OUT or
+FAN_IN table is a sign and is not packed.
 
 Every table keeps the parity of its pair (the even block is 00/11, the odd
 block 01/10), so each output coefficient of a slice reads at most one key
@@ -198,9 +200,9 @@ key, so ``evaluate_dp`` meets in the middle.  The first ``_split`` steps run
 forward from the initial sliver; the rest run backward, from the top down
 to the split cut, on a costate seeded with 1 on every output key, and each
 output coefficient is the sum of state times costate over the keys of the
-split cut.  A backward step applies the transposed table, which every
-``_KernelTable`` carries as ``back``, with the step's width_in and
-width_out swapped.  The twist reads only spectator bits, which are the same
+split cut.  A backward step applies the transposed table,
+``_kernel_table(key, True)``, with the step's width_in and width_out
+swapped.  The twist reads only spectator bits, which are the same
 on both sides of a slice, so the plain and the twisted rows transpose each
 on their own, and ``_table_form`` reads the transposes off as they are: a
 BLOCK crossing stays BLOCK with its lo -> hi and hi -> lo entries traded,
@@ -230,18 +232,15 @@ oracle keeps ``LaurentPoly`` arithmetic.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from functools import lru_cache
 from typing import NamedTuple
 
-from .laurent import LaurentPoly, ONE, ZERO
+from .laurent import LaurentPoly, ONE, Q, QINV, ZERO
 from .diagram import (ClassVector, ConsistencyError, DiagramVector,
                       FlatDiagram, dotted_class)
 from .tangle import CAP, CUP, EndpointCountError, MorseWord, analyze
 
-_Q = LaurentPoly.q_power(1)
-_QI = LaurentPoly.q_power(-1)
-_Z = _Q - _QI          # q - q^-1
+_Z = Q - QINV  # q - q^-1
 
 
 class TableTerm(NamedTuple):
@@ -264,29 +263,29 @@ def _rotate(term: TableTerm, k: int) -> TableTerm:
 
 
 _POS5 = (
-    _term(_Q, [(0, 3, True), (1, 2, True)], []),
+    _term(Q, [(0, 3, True), (1, 2, True)], []),
     _term(_Z, [(0, 3, True)], [1, 2]),
-    _term(_Q, [(1, 3, True)], [0, 2]),
-    _term(_QI, [(0, 2, True)], [1, 3]),
-    _term(-_QI, [], [0, 1, 2, 3]),
+    _term(Q, [(1, 3, True)], [0, 2]),
+    _term(QINV, [(0, 2, True)], [1, 3]),
+    _term(-QINV, [], [0, 1, 2, 3]),
 )
 _NEG5 = (
-    _term(_QI, [(0, 3, True), (1, 2, True)], []),
+    _term(QINV, [(0, 3, True), (1, 2, True)], []),
     _term(-_Z, [(1, 2, True)], [0, 3]),
-    _term(_QI, [(0, 2, True)], [1, 3]),
-    _term(_Q, [(1, 3, True)], [0, 2]),
-    _term(-_Q, [], [0, 1, 2, 3]),
+    _term(QINV, [(0, 2, True)], [1, 3]),
+    _term(Q, [(1, 3, True)], [0, 2]),
+    _term(-Q, [], [0, 1, 2, 3]),
 )
 _POS7 = (
-    _term(_Q, [(0, 3, False), (1, 2, False)], []),
-    _term(_Q, [(1, 3, False)], [0, 2]),
-    _term(-_Q, [(1, 2, False)], [0, 3]),
-    _term(-_Q, [], [0, 1, 2, 3]),
-    _term(_QI, [(0, 2, False)], [1, 3]),
-    _term(-_QI, [(0, 3, False)], [1, 2]),
-    _term(-_QI, [], [0, 1, 2, 3]),
+    _term(Q, [(0, 3, False), (1, 2, False)], []),
+    _term(Q, [(1, 3, False)], [0, 2]),
+    _term(-Q, [(1, 2, False)], [0, 3]),
+    _term(-Q, [], [0, 1, 2, 3]),
+    _term(QINV, [(0, 2, False)], [1, 3]),
+    _term(-QINV, [(0, 3, False)], [1, 2]),
+    _term(-QINV, [], [0, 1, 2, 3]),
 )
-_NEG7 = (_term(_QI, [(0, 3, False), (1, 2, False)], []),) + _POS7[1:]
+_NEG7 = (_term(QINV, [(0, 3, False), (1, 2, False)], []),) + _POS7[1:]
 
 
 class ExpansionTable:
@@ -525,7 +524,7 @@ def _plan(terms, consumed, produced, view, slots) -> _Plan:
     sample = _view_sample(view)
     off = 2 if consumed and not produced else 0
     outcomes, killed = _apply_terms(sample, 0, terms, consumed, produced)
-    shift = _Q if consumed and produced else ONE
+    shift = Q if consumed and produced else ONE
     pictures, zero = [], 0
     for (out, added), (coeff, n) in outcomes.items():
         if not coeff:
@@ -816,7 +815,6 @@ class _KernelTable(NamedTuple):
     norm: int          # row L1 norm
     form: str          # BLOCK, FAN_OUT, FAN_IN or SCATTER, read off the rows
     operands: tuple    # what the kernel reads in that form, as digits
-    back: "_KernelTable | None"   # the transposed table (whose back is None)
 
 
 def _table_form(rows, consumed: bool, produced: bool) -> str:
@@ -905,63 +903,29 @@ def _operands(form: str, rows, shift: int) -> tuple:
     return rows
 
 
-def _kernel_table(rows, consumed: bool, produced: bool) -> _KernelTable:
-    """A local table with its bound, form and operands, and its transpose
-    with its own, which consumes what the table produces and produces what
-    it consumes."""
-    def table(rows, consumed, produced, back):
-        shift, norm = _table_bound(rows)
-        form = _table_form(rows, consumed, produced)
-        return _KernelTable(rows, shift, norm, form,
-                            _operands(form, rows, shift), back)
-
-    return table(rows, consumed, produced,
-                 table(_transpose(rows, produced), produced, consumed, None))
+def _make_table(rows, consumed: bool, produced: bool) -> _KernelTable:
+    """A local table with its bound, form and operands."""
+    shift, norm = _table_bound(rows)
+    form = _table_form(rows, consumed, produced)
+    return _KernelTable(rows, shift, norm, form, _operands(form, rows, shift))
 
 
-# every slice type's table key: (sign, rot) for the crossings, CUP and CAP
-_TABLE_KEYS = (tuple((sign, rot) for rot in range(4) for sign in (1, -1))
-               + (CUP, CAP))
-
-
-def _derive_table(key) -> _KernelTable:
-    """The local table of one slice type, with its bound and form."""
-    if key == CUP:
-        return _kernel_table(_local_table(_CUP_TERMS_DOTTED, False, True),
-                             False, True)
-    if key == CAP:
-        return _kernel_table(_local_table(_CAP_TERM, True, False),
-                             True, False)
-    return _kernel_table(_local_table(base_tables().five[key], True, True),
-                         True, True)
-
-
-class _KernelTables(Mapping):
-    """The local tables of all slice types by key, each derived on its first
-    read: no braid closure reads the rot 1 and 3 crossings."""
-
-    def __init__(self):
-        self._derived = {}
-
-    def __getitem__(self, key) -> _KernelTable:
-        table = self._derived.get(key)
-        if table is None:
-            table = self._derived[key] = _derive_table(key)
-        return table
-
-    def __iter__(self):
-        return iter(_TABLE_KEYS)
-
-    def __len__(self) -> int:
-        return len(_TABLE_KEYS)
-
-
-@lru_cache(maxsize=1)
-def _kernel_tables() -> _KernelTables:
-    """Local tables of all slice types, with their bounds and forms:
-    (sign, rot) for the crossings, CUP and CAP.  Made on the first
-    evaluation, not at import, and each table derived on its first read."""
-    return _KernelTables()
+@lru_cache(maxsize=None)
+def _kernel_table(key, back: bool) -> _KernelTable:
+    """The local table of one slice type, key a crossing's (sign, rot), CUP
+    or CAP, or with ``back`` its transpose, which consumes what the table
+    produces and produces what it consumes.  Each is derived on its first
+    read, not at import: no braid closure reads the rot 1 and 3 crossings.
+    Called with both arguments positional, so at most 10 keys x 2
+    directions are kept."""
+    consumed, produced = key != CUP, key != CAP
+    if back:
+        rows = _kernel_table(key, False).rows
+        return _make_table(_transpose(rows, produced), produced, consumed)
+    terms = (_CUP_TERMS_DOTTED if key == CUP else _CAP_TERM if key == CAP
+             else base_tables().five[key])
+    return _make_table(_local_table(terms, consumed, produced),
+                       consumed, produced)
 
 
 def _digit_width(k: int, norms) -> int:
@@ -1165,10 +1129,9 @@ def evaluate_dp(word: MorseWord) -> ClassVector:
     space, computed by composing one slice at a time: the bottom part of
     the step list forward from the bottom, the top part backward from the
     output keys (see the module docstring)."""
-    tables = _kernel_tables()
     k = word.bottom_count
     steps = _schedule(_steps(word))
-    used = [tables[step[0]] for step in steps]
+    used = [_kernel_table(step[0], False) for step in steps]
     width = _digit_width(k, [table.norm for table in used])
     offset = -sum(table.shift for table in used)
     top = k + sum(step[3] - step[2] for step in steps)
@@ -1185,7 +1148,7 @@ def evaluate_dp(word: MorseWord) -> ClassVector:
     # each table the forward steps read, and the transpose of each one the
     # backward steps read, packed at this word's width
     state = _sweep(state, steps[:split],
-                   {key: _pack(tables[key], width)
+                   {key: _pack(_kernel_table(key, False), width)
                     for key in {step[0] for step in steps[:split]}})
     if split < len(steps):
         # the costate, seeded with 1 on every output key, one per sector
@@ -1194,7 +1157,7 @@ def evaluate_dp(word: MorseWord) -> ClassVector:
              if not key.bit_count() & 1},
             [(key, ib, width_out, width_in)
              for key, ib, width_in, width_out in reversed(steps[split:])],
-            {key: _pack(tables[key].back, width)
+            {key: _pack(_kernel_table(key, True), width)
              for key in {step[0] for step in steps[split:]}})
         low_mask = (1 << k) - 1
         meet = {}

@@ -197,12 +197,12 @@ class TestInternalErrors:
     def broken_pairing(self):
         # the kernel tables are cached: derive them again under the patch,
         # and once more after it
-        statesum._kernel_tables.cache_clear()
+        statesum._kernel_table.cache_clear()
         try:
             with mock.patch.object(diagram, "glue_evaluate", return_value=7):
                 yield
         finally:
-            statesum._kernel_tables.cache_clear()
+            statesum._kernel_table.cache_clear()
 
     @pytest.mark.parametrize("argv", [
         ("alexander", "--braid", "1 1 1", "--strands", "2"),

@@ -153,10 +153,16 @@ class TestMoveInvariance:
 
 class TestTangleInvariant:
     def test_even_boundary_enforced(self):
-        # odd totals cannot be produced by valid words; the guard is reached
-        # via direct construction only, so check the happy paths instead
+        # a valid word has 2k + 2(cups - caps) endpoints, so MorseWord's own
+        # validation keeps every boundary even and tangle_invariant needs no
+        # guard of its own
         cv = tangle_invariant(parse("bottom 2 up up; x+ 1;"), "both")
         assert len(cv) == 5
+        rng = random.Random(25)
+        for _ in range(50):
+            w = random_word(rng, max_crossings=3, bottom=rng.randrange(4))
+            assert w.endpoint_count % 2 == 0, str(w)
+            assert tangle_invariant(w).boundary_count == w.endpoint_count
 
     def test_r1_multiplies_by_unit(self):
         rng = random.Random(5)

@@ -29,6 +29,15 @@ Q = LaurentPoly.q_power(1)
 QI = LaurentPoly.q_power(-1)
 Z = Q - QI
 
+# every slice type's table key: (sign, rot) for the crossings, CUP and CAP
+TABLE_KEYS = tuple(base_tables().five) + (tangle.CUP, tangle.CAP)
+
+
+def kernel_tables():
+    """Every cached dp table, forward and transposed, by (key, back)."""
+    return {(key, back): statesum._kernel_table(key, back)
+            for key in TABLE_KEYS for back in (False, True)}
+
 
 def fd(n, chords=(), ticks=()):
     return FlatDiagram.make(n, chords, ticks)
@@ -207,28 +216,46 @@ class TestKernel:
             assert rep == canonical_rep(subset, 3)
 
     def test_tables_are_not_derived_at_import(self):
+        # a strand with no slice reads no table; one crossing reads the
+        # forward tables of its three steps and the transposes of the two
+        # above the split
         code = ("import tanglex\n"
                 "from tanglex import statesum\n"
-                "print(statesum._kernel_tables.cache_info().currsize)\n"
+                "info = statesum._kernel_table.cache_info\n"
+                "print(info().currsize)\n"
                 "statesum.evaluate_dp(tanglex.parse('bottom 1 up;'))\n"
-                "print(statesum._kernel_tables.cache_info().currsize)\n")
+                "print(info().currsize)\n"
+                "statesum.evaluate_dp(tanglex.parse(\n"
+                "    'bottom 1 up; cup 2 cw; x+ 1; cap 2;'))\n"
+                "print(info().currsize)\n")
         src = os.path.dirname(os.path.dirname(tanglex.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["0", "1"]
+        assert out.stdout.split() == ["0", "0", "5"]
 
     def test_dp_derives_only_the_tables_it_reads(self):
-        # a braid closure reads no rot 1 or 3 crossing; the mapping still
-        # holds all ten tables, each derived on its first read
-        tables = statesum._KernelTables()
-        with mock.patch.object(statesum, "_kernel_tables", lambda: tables):
-            evaluate_dp(braid_to_tangle((1, -2, 1, -2), 3))
-        assert set(tables._derived) == {(1, 0), (-1, 0), tangle.CUP,
-                                        tangle.CAP}
-        assert len(tables) == 10
-        assert dict(tables) == dict(statesum._kernel_tables())
-        assert len(tables._derived) == 10
+        # a braid closure reads no rot 1 or 3 crossing, and the transposes
+        # only of the steps above the split: here the crossings and the caps
+        w = braid_to_tangle((1, -2, 1, -2), 3)
+        statesum._kernel_table.cache_clear()
+        try:
+            with mock.patch.object(statesum, "_kernel_table",
+                                   wraps=statesum._kernel_table) as read:
+                evaluate_dp(w)
+            derived = {call.args for call in read.call_args_list}
+            assert derived == {((1, 0), False), ((-1, 0), False),
+                               (tangle.CUP, False), (tangle.CAP, False),
+                               ((1, 0), True), ((-1, 0), True),
+                               (tangle.CAP, True)}
+            assert statesum._kernel_table.cache_info().currsize == 7
+            assert all(len(call.args) == 2 and not call.kwargs
+                       for call in read.call_args_list)
+        finally:
+            statesum._kernel_table.cache_clear()
+        # all ten slice types derive both ways, 20 entries in all
+        assert len(kernel_tables()) == 20
+        assert statesum._kernel_table.cache_info().currsize == 20
 
     def test_dp_never_derives_the_naive_plans(self):
         code = ("import tanglex\n"
@@ -790,20 +817,20 @@ class TestPacking:
     """The dp evaluates every coefficient at q^2 = 2^B as one int."""
 
     def test_table_bounds(self):
-        tables = statesum._kernel_tables()
-        for key, table in tables.items():
+        for key in TABLE_KEYS:
+            table = statesum._kernel_table(key, False)
             if key in (tangle.CUP, tangle.CAP):
                 assert table.shift == 0, key
             else:
                 assert table.shift == 1 and table.norm == 3, key
-        assert tables[tangle.CUP].norm == 2
-        assert tables[tangle.CAP].norm == 1
+        assert statesum._kernel_table(tangle.CUP, False).norm == 2
+        assert statesum._kernel_table(tangle.CAP, False).norm == 1
 
     def test_every_shifted_exponent_is_even(self):
         # q^shift * c is a polynomial in q^2 for every entry c of all 10
-        # tables, so the kernel may pack at q^2
-        tables = statesum._kernel_tables()
-        assert len(tables) == 10
+        # tables and their transposes, so the kernel may pack at q^2
+        tables = kernel_tables()
+        assert len(tables) == 20
         for key, table in tables.items():
             for row in table.rows:
                 for part in row:
@@ -847,26 +874,25 @@ class TestPacking:
             assert statesum._decode(v, width, -shift) == p, (p, shift, width)
         # every packed operand of every table, forward and transposed,
         # decodes to its row entry
-        for key, forward in statesum._kernel_tables().items():
-            for table in (forward, forward.back):
-                for width in (4, 38, 70):
-                    form, ops = statesum._pack(table, width)
-                    assert form is table.form
-                    if form is statesum.BLOCK:
-                        d0, d3, lo, b, c, d = ops
-                        hi = 3 - lo
-                        packed = [(0, 0, d0), (3, 3, d3), (lo, hi, b),
-                                  (hi, lo, c), (hi, hi, d)]
-                    elif form is statesum.SCATTER:
-                        packed = [(i, out, v) for i, row in enumerate(ops)
-                                  for out, v in row[0]]
-                    else:
-                        assert ops == table.operands
-                        continue
-                    for i, out, v in packed:
-                        got = statesum._decode(v, width, -table.shift)
-                        assert got == dict(table.rows[i][0])[out], (
-                            key, i, out, width)
+        for key, table in kernel_tables().items():
+            for width in (4, 38, 70):
+                form, ops = statesum._pack(table, width)
+                assert form is table.form
+                if form is statesum.BLOCK:
+                    d0, d3, lo, b, c, d = ops
+                    hi = 3 - lo
+                    packed = [(0, 0, d0), (3, 3, d3), (lo, hi, b),
+                              (hi, lo, c), (hi, hi, d)]
+                elif form is statesum.SCATTER:
+                    packed = [(i, out, v) for i, row in enumerate(ops)
+                              for out, v in row[0]]
+                else:
+                    assert ops == table.operands
+                    continue
+                for i, out, v in packed:
+                    got = statesum._decode(v, width, -table.shift)
+                    assert got == dict(table.rows[i][0])[out], (
+                        key, i, out, width)
 
     def test_kernel_multiplies_no_polynomials(self):
         w = braid_to_tangle([1, -2, 1, -2, 3, 2, -3], 4)
@@ -894,40 +920,39 @@ class TestPacking:
     def test_table_forms(self):
         # read off the rows: twist-free crossings (rot 0 and 2) are blocks,
         # the twisted rot 1 and 3 crossings are scattered
-        tables = statesum._kernel_tables()
+        tables = kernel_tables()
         for sign in (1, -1):
             for rot in range(4):
                 want = statesum.BLOCK if rot in (0, 2) else statesum.SCATTER
-                assert tables[(sign, rot)].form == want, (sign, rot)
-        assert tables[tangle.CUP].form == statesum.FAN_OUT
-        assert tables[tangle.CAP].form == statesum.FAN_IN
+                assert tables[(sign, rot), False].form == want, (sign, rot)
+        assert tables[tangle.CUP, False].form == statesum.FAN_OUT
+        assert tables[tangle.CAP, False].form == statesum.FAN_IN
 
     @staticmethod
     def patched(tables):
-        return mock.patch.object(statesum, "_kernel_tables", lambda: tables)
+        """The dp reading ``tables``, by (key, back), for the cached ones."""
+        return mock.patch.object(statesum, "_kernel_table",
+                                 lambda key, back: tables[key, back])
 
     @staticmethod
-    def edited(key, edit):
+    def edited(key, edit, tables=None):
         """The kernel tables with the rows of one table edited, its form
-        read off the edited rows."""
-        tables = dict(statesum._kernel_tables())
-        consumed, produced = {tangle.CUP: (False, True),
-                              tangle.CAP: (True, False)}.get(key, (True, True))
-        tables[key] = statesum._kernel_table(edit(tables[key].rows),
-                                             consumed, produced)
+        read off the edited rows, and its transpose made from them."""
+        tables = dict(tables or kernel_tables())
+        consumed, produced = key != tangle.CUP, key != tangle.CAP
+        rows = edit(tables[key, False].rows)
+        tables[key, False] = statesum._make_table(rows, consumed, produced)
+        tables[key, True] = statesum._make_table(
+            statesum._transpose(rows, produced), produced, consumed)
         return tables
 
     @staticmethod
     def all_scattered(tables=None):
-        def scattered(table, **fields):
-            return table._replace(form=statesum.SCATTER,
-                                  operands=statesum._operands(
-                                      statesum.SCATTER, table.rows,
-                                      table.shift),
-                                  **fields)
-
-        return {key: scattered(table, back=scattered(table.back))
-                for key, table in (tables or statesum._kernel_tables()).items()}
+        return {key: table._replace(form=statesum.SCATTER,
+                                    operands=statesum._operands(
+                                        statesum.SCATTER, table.rows,
+                                        table.shift))
+                for key, table in (tables or kernel_tables()).items()}
 
     def test_crossing_out_of_shape_is_scattered(self):
         # a rot-0 table with an added 00 -> 11 entry q: on one crossing the
@@ -936,7 +961,8 @@ class TestPacking:
         want = evaluate_dp(w) + diagram.ClassVector(4, {(3, 4): Q})
         tables = self.edited((1, 0), lambda rows: (
             tuple(part + ((3, Q),) for part in rows[0]),) + rows[1:])
-        assert tables[(1, 0)].form == statesum.SCATTER
+        assert tables[(1, 0), False].form == statesum.SCATTER
+        assert tables[(1, 0), True].form == statesum.SCATTER
         with self.patched(tables):
             assert evaluate_dp(w) == want
 
@@ -949,10 +975,11 @@ class TestPacking:
             return tuple(tuple(tuple((out, -c) for out, c in part)
                                for part in row) for row in rows)
 
-        tables = self.edited(tangle.CUP, negate)
-        tables[tangle.CAP] = self.edited(tangle.CAP, negate)[tangle.CAP]
-        assert tables[tangle.CUP].form == statesum.SCATTER
-        assert tables[tangle.CAP].form == statesum.SCATTER
+        tables = self.edited(tangle.CAP, negate,
+                             self.edited(tangle.CUP, negate))
+        for key in (tangle.CUP, tangle.CAP):
+            for back in (False, True):
+                assert tables[key, back].form == statesum.SCATTER, (key, back)
         flips = sum(sl.kind in (tangle.CUP, tangle.CAP) for sl in w.slices)
         want = evaluate_dp(w).scale(-ONE if flips % 2 else ONE)
         with self.patched(tables):
@@ -979,7 +1006,8 @@ class TestPacking:
         # the edited table fits no form, and the kernel gives what the
         # scatter loop gives on every table
         tables = self.edited(*self.OUT_OF_SHAPE[name])
-        assert tables[self.OUT_OF_SHAPE[name][0]].form == statesum.SCATTER
+        assert tables[self.OUT_OF_SHAPE[name][0], False].form == \
+            statesum.SCATTER
         rng = random.Random(name)
         words = [random_word(rng, max_crossings=6, bottom=b % 4)
                  for b in range(24)]
@@ -1030,9 +1058,9 @@ class TestPacking:
 
     @staticmethod
     def digit_width(w):
-        tables = statesum._kernel_tables()
         return statesum._digit_width(w.bottom_count, [
-            tables[step[0]].norm for step in statesum._steps(w)])
+            statesum._kernel_table(step[0], False).norm
+            for step in statesum._steps(w)])
 
     def test_table_sets_at_one_width_keep_their_own_operands(self):
         # one word under three table sets of one digit width, interleaved:
@@ -1047,9 +1075,9 @@ class TestPacking:
             return tuple(tuple(tuple((out, -c) for out, c in part)
                                for part in row) for row in rows)
 
-        edited = self.edited(tangle.CUP, negate)
-        edited[tangle.CAP] = self.edited(tangle.CAP, negate)[tangle.CAP]
-        sets = [(statesum._kernel_tables(), want),
+        edited = self.edited(tangle.CAP, negate,
+                             self.edited(tangle.CUP, negate))
+        sets = [(kernel_tables(), want),
                 (self.all_scattered(), want),
                 (edited, want.scale(-ONE if flips % 2 else ONE))]
         for tables, expected in sets + sets[::-1] + sets:
@@ -1164,25 +1192,26 @@ class TestMeet:
         assert [len(call.args[1]) for call in sweep.call_args_list] == [6, 6]
 
     def test_back_tables(self):
-        tables = statesum._kernel_tables()
-        assert len(tables) == 10
-        for key, table in tables.items():
+        for key in TABLE_KEYS:
             consumed = key != tangle.CUP
-            back = table.back
+            table = statesum._kernel_table(key, False)
+            back = statesum._kernel_table(key, True)
             want = {tangle.CUP: statesum.FAN_IN,
                     tangle.CAP: statesum.FAN_OUT}.get(key, table.form)
             assert back.form == want, key
             assert back.shift == table.shift, key
-            assert back.back is None, key
             assert statesum._transpose(back.rows, consumed) == table.rows, key
+            assert statesum._kernel_table(key, True) is back, key
 
     def test_block_back_swaps_the_odd_entries(self):
         # the transposed odd block trades lo -> hi for hi -> lo
-        for key, table in statesum._kernel_tables().items():
+        for key in TABLE_KEYS:
+            table = statesum._kernel_table(key, False)
             if table.form is not statesum.BLOCK:
                 continue
             d0, d3, lo, b, c, d = table.operands
-            assert table.back.operands == (d0, d3, lo, c, b, d), key
+            assert statesum._kernel_table(key, True).operands == (
+                d0, d3, lo, c, b, d), key
 
     def test_fewer_live_keys_on_warm_braids(self):
         # the keys each step reads, summed over the first 150 braids of the
@@ -1250,7 +1279,7 @@ class TestBoundedMemory:
     def test_no_module_level_cache_grows(self):
         rng = random.Random(5)
         w = random_word(rng)
-        evaluate_dp(w)                  # derives the kernel tables once
+        kernel_tables()                 # derives every dp table both ways
         expand_states(w)                # and the naive plans
         before = self.module_cache_sizes()
         words = set()
@@ -1264,6 +1293,7 @@ class TestBoundedMemory:
             expand_states(w)
             tanglex.tangle_invariant(w, "both")
         assert self.module_cache_sizes() == before
+        assert statesum._kernel_table.cache_info().currsize == 20
         assert not hasattr(tangle.analyze, "cache_info")
 
     def test_dp_rebinds_no_module_name(self):
