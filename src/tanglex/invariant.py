@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .laurent import LaurentPoly
 from .diagram import ClassVector, coordinates
 from .tangle import (CAP, CUP, CrossingInfo, EndpointCountError, MorseWord,
-                     Slice, _cup_label_index, analyze, turning_number)
+                     Slice, analyze, turning_number)
 from .statesum import delta_from_class, evaluate_dp, evaluate_naive
 
 
@@ -92,8 +92,7 @@ def with_crossing(word: MorseWord, index: int, kind: str) -> MorseWord:
     info = _crossing(word, index)
     slices = list(word.slices)
     slices[info.slice_index] = Slice(kind, info.pos)
-    return MorseWord(word.bottom_count, tuple(slices),
-                     word.bottom_orientations, word.cup_orientations)
+    return word._replace(slices=slices)
 
 
 def with_crossing_smoothed(word: MorseWord, index: int) -> MorseWord:
@@ -102,12 +101,9 @@ def with_crossing_smoothed(word: MorseWord, index: int) -> MorseWord:
     info = _crossing(word, index)
     t = info.slice_index
     slices = list(word.slices)
-    cups = list(word.cup_orientations)
     if info.d1 == info.d2:
         del slices[t]
     else:
         label = "cw" if info.d2 == 1 else "ccw"
-        slices[t:t + 1] = [Slice(CAP, info.pos), Slice(CUP, info.pos)]
-        cups.insert(_cup_label_index(word, t), label)
-    return MorseWord(word.bottom_count, tuple(slices),
-                     word.bottom_orientations, tuple(cups))
+        slices[t:t + 1] = [Slice(CAP, info.pos), Slice(CUP, info.pos, label)]
+    return word._replace(slices=slices)

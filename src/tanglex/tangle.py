@@ -4,8 +4,10 @@ A tangle is a bottom-to-top word of elementary slices acting on a row of
 strands: ``cup i`` births two strands at positions i, i+1; ``cap i`` joins the
 strands at i, i+1; ``x+ i`` / ``x- i`` cross them with the left strand passing
 over / under.  Each strand is oriented where it is born: by its bottom
-endpoint's ``up``/``down`` or by its cup's ``cw``/``ccw``.  A cap must join two
-strands of opposite directions; a word that caps parallel strands is rejected.
+endpoint's ``up``/``down`` or by its cup's ``cw``/``ccw``, which the cup's
+``Slice`` carries as its ``label`` (no other slice has one).  A cap must join
+two strands of opposite directions; a word that caps parallel strands is
+rejected.
 
 Every layer reads two facts off a word, computed once when it is built
 (``analyze``): the direction of each strand at each level, +1 up or -1 down,
@@ -62,22 +64,22 @@ _CROSSINGS = (OVER, UNDER)
 class Slice(NamedTuple):
     kind: str
     pos: int
+    label: str | None = None  # 'cw' / 'ccw' on a cup, None on any other slice
 
 
 class _MorseFields(NamedTuple):
     bottom_count: int
-    slices: tuple
+    slices: tuple               # Slice per slice, bottom to top
     bottom_orientations: tuple  # 'up' / 'down' per bottom endpoint
-    cup_orientations: tuple     # 'cw' / 'ccw' per cup slice, in slice order
 
 
 class MorseWord(_MorseFields):
     """An oriented tangle diagram as a validated slice word."""
 
-    def __new__(cls, bottom_count, slices, bottom_orientations,
-                cup_orientations):
-        self = super().__new__(cls, bottom_count, slices,
-                               bottom_orientations, cup_orientations)
+    def __new__(cls, bottom_count, slices, bottom_orientations):
+        # tuples, so the word cannot change under its cached analysis
+        self = super().__new__(cls, bottom_count, tuple(slices),
+                               tuple(bottom_orientations))
         # validates widths and orientations; analyze(self) returns the result,
         # kept in the instance dict (this subclass declares no __slots__)
         self._analysis = _analyze(self)
@@ -113,7 +115,6 @@ class _Analysis(NamedTuple):
 class CrossingInfo(NamedTuple):
     slice_index: int
     pos: int
-    kind: str
     d1: int  # direction of the strand on the "/" diagonal (+1 = upward)
     d2: int  # direction of the strand on the "\" diagonal
     sign: int
@@ -143,13 +144,12 @@ def _analyze(word: MorseWord) -> _Analysis:
     cup inserts ``(d, -d)`` with d = +1 for ``cw``, a cap must join two
     opposite directions, and a crossing swaps the two it crosses."""
     k = word.bottom_count
+    if type(k) is not int:
+        raise WidthError(f"bottom count must be an int, not {k!r}")
     if k < 0:
         raise WidthError("negative bottom count")
     if len(word.bottom_orientations) != k:
         raise OrientationError("need one up/down per bottom endpoint")
-    n_cups = sum(1 for s in word.slices if s.kind == CUP)
-    if len(word.cup_orientations) != n_cups:
-        raise OrientationError("need one cw/ccw per cup")
 
     current = []
     for o in word.bottom_orientations:
@@ -158,18 +158,21 @@ def _analyze(word: MorseWord) -> _Analysis:
         current.append(1 if o == "up" else -1)
     levels = [tuple(current)]
     crossings = []
-    cup_labels = iter(word.cup_orientations)
     for t, sl in enumerate(word.slices):
         w = len(current)
         if sl.kind == CUP:
             if not 1 <= sl.pos <= w + 1:
                 raise WidthError(
                     f"slice {t}: cup {sl.pos} out of range at width {w}")
-            lab = next(cup_labels)
-            if lab not in ("cw", "ccw"):
-                raise OrientationError(f"bad cup orientation {lab!r}")
-            d = 1 if lab == "cw" else -1
+            if sl.label not in ("cw", "ccw"):
+                raise OrientationError(
+                    f"slice {t}: cup needs cw or ccw, not {sl.label!r}")
+            d = 1 if sl.label == "cw" else -1
             current[sl.pos - 1:sl.pos - 1] = (d, -d)
+        elif sl.label is not None:
+            raise OrientationError(
+                f"slice {t}: only a cup takes a label, not {sl.kind} "
+                f"{sl.pos} {sl.label!r}")
         elif sl.kind == CAP:
             if not 1 <= sl.pos <= w - 1:
                 raise WidthError(
@@ -184,7 +187,7 @@ def _analyze(word: MorseWord) -> _Analysis:
                     f"slice {t}: crossing {sl.pos} out of range at width {w}")
             d1, d2 = current[sl.pos - 1], current[sl.pos]
             crossings.append(CrossingInfo(
-                t, sl.pos, sl.kind, d1, d2, _crossing_sign(sl.kind, d1, d2),
+                t, sl.pos, d1, d2, _crossing_sign(sl.kind, d1, d2),
                 _ROT_OF_PATTERN[(d1, d2)]))
             current[sl.pos - 1], current[sl.pos] = d2, d1
         else:
@@ -204,7 +207,6 @@ def parse(text: str) -> MorseWord:
     bottom = None
     orients = ()
     slices = []
-    cups = []
     for idx, stmt in enumerate(text.split(";")):
         words = stmt.split()
         if not words:
@@ -228,8 +230,7 @@ def parse(text: str) -> MorseWord:
                 if len(words) != 3 or words[2] not in ("cw", "ccw"):
                     raise TangleSyntaxError(
                         f"statement {idx}: expected 'cup <i> cw|ccw'")
-                slices.append(Slice(CUP, int(words[1])))
-                cups.append(words[2])
+                slices.append(Slice(CUP, int(words[1]), words[2]))
             elif head == "cap":
                 if len(words) != 2:
                     raise TangleSyntaxError(
@@ -248,17 +249,15 @@ def parse(text: str) -> MorseWord:
             raise TangleSyntaxError(f"statement {idx}: {exc}") from exc
     if bottom is None:
         raise TangleSyntaxError("missing 'bottom' declaration")
-    return MorseWord(bottom, tuple(slices), orients, tuple(cups))
+    return MorseWord(bottom, slices, orients)
 
 
 def format_word(word: MorseWord) -> str:
     parts = [" ".join(["bottom", str(word.bottom_count),
                        *word.bottom_orientations]).rstrip()]
-    cup_idx = 0
     for sl in word.slices:
         if sl.kind == CUP:
-            parts.append(f"cup {sl.pos} {word.cup_orientations[cup_idx]}")
-            cup_idx += 1
+            parts.append(f"cup {sl.pos} {sl.label}")
         elif sl.kind == CAP:
             parts.append(f"cap {sl.pos}")
         else:
@@ -317,11 +316,10 @@ def braid_to_tangle(word, strands: int) -> MorseWord:
     for g in word:
         if g == 0 or abs(g) > strands - 1:
             raise ValueError(f"generator {g} out of range for {strands} strands")
-    slices = [Slice(CUP, i) for i in range(2, strands + 1)]
-    cups = ("cw",) * (strands - 1)
+    slices = [Slice(CUP, i, "cw") for i in range(2, strands + 1)]
     slices += [Slice(OVER if g > 0 else UNDER, abs(g)) for g in word]
     slices += [Slice(CAP, i) for i in range(strands, 1, -1)]
-    return MorseWord(1, tuple(slices), ("up",), cups)
+    return MorseWord(1, slices, ("up",))
 
 
 # ---------------------------------------------------------------------------
@@ -363,38 +361,26 @@ def _strand_dir_at(word: MorseWord, level: int, position: int) -> int:
     return dirs[position - 1]
 
 
-def _rebuild(word: MorseWord, slices, cups) -> MorseWord:
-    return MorseWord(word.bottom_count, tuple(slices),
-                     word.bottom_orientations, tuple(cups))
-
-
-def _cup_label_index(word: MorseWord, slice_index: int) -> int:
-    return sum(1 for s in word.slices[:slice_index] if s.kind == CUP)
-
-
 def apply_move(word: MorseWord, move) -> MorseWord:
     """Return a word differing from ``word`` by one oriented Reidemeister
     move.  Raises MoveError when the move does not apply at the site."""
     if isinstance(move, (R1Move, R2Move, R3Move)) and move.slice_index < 0:
         raise MoveError(f"negative slice index {move.slice_index}")
     slices = list(word.slices)
-    cups = list(word.cup_orientations)
     if isinstance(move, R1Move):
         t, p, kind = move.slice_index, move.position, move.crossing
         if kind not in _CROSSINGS:
             raise MoveError(f"bad R1 crossing {kind!r}")
         d = _strand_dir_at(word, t, p)
         if move.side == "right":
-            ins = [Slice(CUP, p + 1), Slice(kind, p), Slice(CAP, p + 1)]
-            label = "cw" if d == 1 else "ccw"
+            slices[t:t] = [Slice(CUP, p + 1, "cw" if d == 1 else "ccw"),
+                           Slice(kind, p), Slice(CAP, p + 1)]
         elif move.side == "left":
-            ins = [Slice(CUP, p), Slice(kind, p + 1), Slice(CAP, p)]
-            label = "cw" if d == -1 else "ccw"
+            slices[t:t] = [Slice(CUP, p, "cw" if d == -1 else "ccw"),
+                           Slice(kind, p + 1), Slice(CAP, p)]
         else:
             raise MoveError(f"bad R1 side {move.side!r}")
-        slices[t:t] = ins
-        cups.insert(_cup_label_index(word, t), label)
-        return _rebuild(word, slices, cups)
+        return word._replace(slices=slices)
     if isinstance(move, R2Move):
         t, p = move.slice_index, move.position
         levels = analyze(word).levels
@@ -406,7 +392,7 @@ def apply_move(word: MorseWord, move) -> MorseWord:
             raise MoveError(f"bad R2 first crossing {first!r}")
         second = UNDER if first == OVER else OVER
         slices[t:t] = [Slice(first, p), Slice(second, p)]
-        return _rebuild(word, slices, cups)
+        return word._replace(slices=slices)
     if isinstance(move, R3Move):
         t = move.slice_index
         try:
@@ -424,7 +410,7 @@ def apply_move(word: MorseWord, move) -> MorseWord:
         q = s2.pos
         slices[t:t + 3] = [Slice(s3.kind, q), Slice(s2.kind, p),
                            Slice(s1.kind, q)]
-        return _rebuild(word, slices, cups)
+        return word._replace(slices=slices)
     raise MoveError(f"unknown move {move!r}")
 
 
@@ -467,7 +453,6 @@ def random_word(rng: random.Random, max_crossings: int = 8,
     """
     orients = tuple(rng.choice(("up", "down")) for _ in range(bottom))
     slices = []
-    cups = []
     dirs = list(1 if o == "up" else -1 for o in orients)
     budget = rng.randint(0, max_crossings)
     steps = rng.randint(budget, budget + 6)
@@ -487,8 +472,7 @@ def random_word(rng: random.Random, max_crossings: int = 8,
         if kind == CUP:
             p = rng.randint(1, w + 1)
             lab = rng.choice(("cw", "ccw"))
-            slices.append(Slice(CUP, p))
-            cups.append(lab)
+            slices.append(Slice(CUP, p, lab))
             dirs[p - 1:p - 1] = [1, -1] if lab == "cw" else [-1, 1]
         elif kind == CAP:
             p = rng.choice(cap_sites)
@@ -507,4 +491,4 @@ def random_word(rng: random.Random, max_crossings: int = 8,
         p = rng.choice(cap_sites)
         slices.append(Slice(CAP, p))
         del dirs[p - 1:p + 1]
-    return MorseWord(bottom, tuple(slices), orients, tuple(cups))
+    return MorseWord(bottom, slices, orients)

@@ -88,15 +88,15 @@ class TestAlexander:
         # left): the same knot, with tau read off both endpoint shapes
         w = braid(word, strands)
         if not up:
-            w = MorseWord(1, w.slices, ("down",),
-                          ("ccw",) * len(w.cup_orientations))
-        shifted = tuple(Slice(s.kind, s.pos + 1) for s in w.slices)
+            w = MorseWord(1, [s._replace(label="ccw") if s.kind == CUP else s
+                              for s in w.slices], ("down",))
+        shifted = tuple(s._replace(pos=s.pos + 1) for s in w.slices)
         levels = analyze(w).levels
         d, top = levels[0][0], levels[-1][0]
-        bent_up = MorseWord(0, (Slice(CUP, 1),) + shifted, (),
-                            ("ccw" if d == 1 else "cw",) + w.cup_orientations)
+        bent_up = MorseWord(0, (Slice(CUP, 1, "ccw" if d == 1 else "cw"),)
+                            + shifted, ())
         bent_down = MorseWord(2, shifted + (Slice(CAP, 1),),
-                              (_DIR[-top], _DIR[d]), w.cup_orientations)
+                              (_DIR[-top], _DIR[d]))
         want = alexander_via_burau(word, strands)
         for v in (bent_up, bent_down):
             assert alexander_polynomial(v, "both").alexander == want, name

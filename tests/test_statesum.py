@@ -809,7 +809,7 @@ class TestMoveInvariance:
                   for k, p in zip(kinds, (outer, middle, outer))]
         w3 = tangle.MorseWord(w.bottom_count,
                               w.slices[:t] + tuple(triple) + w.slices[t:],
-                              w.bottom_orientations, w.cup_orientations)
+                              w.bottom_orientations)
         self.assert_unchanged(w3, tangle.R3Move(t))
 
 

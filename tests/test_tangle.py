@@ -95,6 +95,11 @@ class TestParse:
             parse("bottom 2 up up; cap 1; x+ 5;")
         with pytest.raises(WidthError):
             parse("bottom 2 up up; x+ 5; cap 1;")
+        # a cup's label is checked on its slice, after the slices below it
+        with pytest.raises(WidthError):
+            MorseWord(2, (Slice(OVER, 5), Slice(CUP, 1)), ("up", "up"))
+        with pytest.raises(OrientationError):
+            MorseWord(2, (Slice(CUP, 1), Slice(OVER, 5)), ("up", "up"))
 
 
 class TestCrossingSigns:
@@ -141,7 +146,7 @@ class TestTurningNumber:
 
     def test_wiggle_cancels(self):
         w = parse("bottom 0; cup 1 ccw; cup 1 ccw; cap 2; cap 1;")
-        w2 = MorseWord(1, w.slices, ("up",), w.cup_orientations)
+        w2 = MorseWord(1, w.slices, ("up",))
         assert turning_number(w2) == 1  # the wiggly circle still turns once
 
     def test_r1_changes_tau_by_one(self):
@@ -188,8 +193,7 @@ class TestTurningNumber:
             w = random_word(rng, max_crossings=rng.randint(0, 8),
                             bottom=rng.randint(0, 2), max_width=9)
             slices = w.slices[:rng.randint(0, len(w.slices))]
-            cups = w.cup_orientations[:sum(s.kind == CUP for s in slices)]
-            p = MorseWord(w.bottom_count, slices, w.bottom_orientations, cups)
+            p = MorseWord(w.bottom_count, slices, w.bottom_orientations)
             if p.endpoint_count == 2:
                 lines.append(f"{format_word(p)} {turning_number(p)}")
                 shapes[p.bottom_count, p.top_count] += 1
@@ -310,21 +314,62 @@ class TestMoves:
 
 class TestRecords:
     def test_slice_repr(self):
-        assert repr(Slice("cup", 2)) == "Slice(kind='cup', pos=2)"
+        assert (repr(Slice("cup", 2, "cw"))
+                == "Slice(kind='cup', pos=2, label='cw')")
+        assert repr(Slice("cap", 1)) == "Slice(kind='cap', pos=1, label=None)"
+
+    @pytest.mark.parametrize("slices, index", [
+        ((Slice(OVER, 1), Slice(CUP, 2)), 1),              # unlabelled cup
+        ((Slice(OVER, 1, "cw"),), 0),                      # labelled crossing
+        ((Slice(CUP, 1, "ccw"), Slice(CAP, 1, "cw")), 1),  # labelled cap
+        ((Slice(CUP, 3, "up"),), 0),                       # bad label
+    ])
+    def test_labels_are_checked_on_their_slices(self, slices, index):
+        with pytest.raises(OrientationError, match=f"^slice {index}: "):
+            MorseWord(2, slices, ("up", "up"))
+
+    @pytest.mark.parametrize("bottom", [True, 1.0, "1"])
+    def test_bottom_count_must_be_an_int(self, bottom):
+        # True once passed and formatted as 'bottom True up;', which parse
+        # refuses
+        with pytest.raises(WidthError):
+            MorseWord(bottom, (), ("up",))
+
+    def test_word_keeps_no_caller_list(self):
+        # the analysis is cached when the word is built; a list the caller
+        # still holds once let the word change under it
+        from tanglex.invariant import tangle_invariant
+        slices, orients = [Slice(OVER, 1)], ["up", "up"]
+        w = MorseWord(2, slices, orients)
+        slices.append(Slice(OVER, 1))
+        orients[0] = "down"
+        want = parse("bottom 2 up up; x+ 1;")
+        assert w == want
+        assert type(w.slices) is type(w.bottom_orientations) is tuple
+        assert tangle_invariant(w, "dp") == tangle_invariant(want, "dp")
 
     def test_replace_revalidates_word(self):
         w = parse("bottom 2 up down; cap 1;")
         bad = (Slice(CAP, 2),)
         with pytest.raises(WidthError):
-            MorseWord(2, bad, ("up", "down"), ())
+            MorseWord(2, bad, ("up", "down"))
         with pytest.raises(WidthError):
             w._replace(slices=bad)
+
+    def test_replace_revalidates_labels(self):
+        w = parse("bottom 1 up; cup 2 cw; cap 2;")
+        with pytest.raises(OrientationError, match="^slice 0: "):
+            w._replace(slices=(Slice(CUP, 2), Slice(CAP, 2)))
+        with pytest.raises(OrientationError, match="^slice 1: "):
+            w._replace(slices=(Slice(CUP, 2, "cw"), Slice(CAP, 2, "cw")))
+        flipped = w._replace(slices=(Slice(CUP, 2, "ccw"), Slice(CAP, 1)))
+        assert flipped == parse("bottom 1 up; cup 2 ccw; cap 1;")
 
     def test_replace_matches_fresh_word(self):
         w = parse("bottom 2 up down; cap 1;")
         slices = (Slice(OVER, 1), Slice(CAP, 1))
         got = w._replace(slices=slices)
-        fresh = MorseWord(2, slices, ("up", "down"), ())
+        fresh = MorseWord(2, slices, ("up", "down"))
         assert type(got) is MorseWord and got == fresh
         a, b = analyze(got), analyze(fresh)
         assert a == b and a._fields == ("levels", "crossings")
