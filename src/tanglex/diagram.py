@@ -516,9 +516,10 @@ class ClassVector:
         if type(n) is not int or n < 0:
             raise ValueError(f"boundary_count {n!r} is not a count")
         v = ClassVector(n)
-        # add() trusts its keys, which the evaluators build, and sums a key
-        # it sees twice; a document may carry any list, so each key must be
-        # a set of boundary points, given once
+        # add() trusts its keys, which the evaluators build, sums a key it
+        # sees twice and drops a zero sum; a document may carry any list, so
+        # each key must be a set of boundary points, given once, with a
+        # nonzero polynomial, as to_json writes it
         points = set(range(1, n + 1))
         seen = set()
         if not isinstance(data["coords"], list):
@@ -536,7 +537,10 @@ class ClassVector:
             if key in seen:
                 raise ValueError(f"key {s} given twice")
             seen.add(key)
-            v.add(s, LaurentPoly.from_json(c))
+            c = LaurentPoly.from_json(c)
+            if not c:
+                raise ValueError(f"key {s} has the zero polynomial")
+            v.add(s, c)
         return v
 
 

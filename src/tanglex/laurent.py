@@ -224,7 +224,8 @@ class LaurentPoly:
     @staticmethod
     def from_json(data) -> "LaurentPoly":
         # a document is refused, not coerced: to_json writes each exponent
-        # once, and only ints (bool is an int subclass, so checked by type)
+        # once, only ints (bool is an int subclass, so checked by type) and
+        # no zero coefficient
         if not isinstance(data, list):
             raise ValueError(f"polynomial {data!r} is not a list of terms")
         coeffs = {}
@@ -236,6 +237,8 @@ class LaurentPoly:
             if type(e) is not int or type(a) is not int:
                 raise ValueError(f"term {[e, a]!r}: exponent and coefficient "
                                  f"must be integers")
+            if not a:
+                raise ValueError(f"term {[e, a]!r} has coefficient 0")
             if e in coeffs:
                 raise ValueError(f"exponent {e} given twice")
             coeffs[e] = a

@@ -34,12 +34,19 @@ packed ints (below).  No naive cut carries a dot: the bottom strands, the
 cup's term and the 7-term tables have none, so no rewrite can make one.  So
 ``expand_states`` keeps each cut as a tuple of ints, an int cut: p >= 0 for
 a strand to cut position p, -b for a strand to bottom point b and one
-negative sentinel, ``_INTERIOR_END``, for an interior end.  The dots are for
-the dp's local tables, which ``_apply_terms`` derives from the 5-term tables
-on dotted cuts, whose entries have the 3-field form (kind, far field, dot).
-``_apply_terms`` and the plans' sample cuts keep that form, and the naive
-turns each of its final cuts into it once (``_dotted_cut``), for the one
-``_finalize`` both share.
+negative sentinel, ``_INTERIOR_END``, for an interior end.  For the same
+reason every chord a naive state closes off among the bottom points is
+undotted, so the state is keyed by one int, its mask: a bit per item
+closed off, the tick on bottom point b or the chord between i < j
+(``_item_bit``: item (i, j), a tick being (b, b), is bit j(j - 1)/2 + i - 1,
+so k bottom points have k(k + 1)/2 bits).  The dots are for the dp's local
+tables, which ``_apply_terms`` derives from the 5-term tables on dotted
+cuts, whose entries have the 3-field form (kind, far field, dot), and
+which ``_finalize`` reads into diagrams.  ``_apply_terms`` and the plans'
+sample cuts keep that form.  The naive reads its own final cuts: each
+cut's chords and ticks once (cut position p is boundary point
+bottom + width - p), then each state's mask (``_read_mask``), and every
+diagram is built through ``FlatDiagram``, which validates it.
 
 What a table does to a cut is decided by the cut's view at the piece.  For
 a consumed pair that is one strand, the view is the loop; otherwise it is,
@@ -55,14 +62,17 @@ a cut edit, with its summed coefficient and its term count n (the 7-term
 table's two all-tick pictures become one, -(q + q^-1)): the entries of the
 sample that the picture changes, each as a pair (target mark, source mark),
 the source being the mark the new entry names, or 4 for an interior end;
-and the items it closes off among the bottom points, in marks.  The plan
-also counts the killed terms and the terms whose pictures sum to zero.
-``expand_states`` then rewrites an int cut without ``_apply_terms``
-(``_rewrite``): it copies the cut (a cup first makes room, shifting the
-partners at or right of the pair by 2), sets out[marks[i]] = marks[x] for
-each write (i, x), with marks = (where, where + 1, ends[where], ends[where
-+ 1], interior), and a cap then deletes the pair and shifts the partners
-right of it down by 2, refusing a strand left ending in its gap.  The
+and the items it closes off among the bottom points, each as a pair of
+marks (x, x) for a tick, (x, y) for a chord.  The plan also counts the
+killed terms and the terms whose pictures sum to zero.  ``expand_states``
+then rewrites an int cut without ``_apply_terms`` (``_rewrite``, once per
+cut): for each picture it copies the cut (a cup first makes room, shifting
+the partners at or right of the pair by 2), sets out[marks[i]] = marks[x]
+for each write (i, x), with marks = (where, where + 1, ends[where],
+ends[where + 1], interior), and a cap then deletes the pair and shifts the
+partners right of it down by 2, refusing a strand left ending in its gap;
+each item (x, y) becomes the bit of the bottom points -marks[x] and
+-marks[y], and the picture's mask is the union of its bits.  The
 value written carries its kind: on the sample and on every cut of the view
 alike, marks 0 and 1 are cut positions and marks 2 and 3 far fields of the
 kind the view gives the consumed ends, so the cut's value at a source mark
@@ -80,7 +90,12 @@ merging, and an entry a picture leaves as it was on the sample is as it was
 on the cut too.  The plans are derived on the first naive expansion
 (``_naive_plans``); the dp never reads them.
 
-Each picture forwards the cut's raw count times n to its new cut.  Killed
+Each picture forwards the cut's raw count times n to its new cut, and each
+state of the cut, with mask done, to the state done | mask there, straight
+into the slice's new cuts.  No state of a cut has closed off a bottom point
+whose strand still reaches the cut, and only such points are at marks 2 and
+3, so done and mask share no bit, and distinct states of a cut stay
+distinct in a new cut that no other picture has reached.  Killed
 terms and terms whose pictures sum to zero count it times 7 to the number
 of crossings left, into the pruned tally.  A state whose coefficient
 cancels to 0 is dropped from its new cut as it cancels, and the cut is
@@ -233,6 +248,7 @@ oracle keeps ``LaurentPoly`` arithmetic.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, ONE, Q, QINV, ZERO
@@ -314,15 +330,17 @@ def base_tables() -> ExpansionTable:
 # ---------------------------------------------------------------------------
 # one slice applied to the cut of partial-diagram states
 #
-# A state is (ends, done).  ``_apply_terms`` reads its cut in the dotted form,
+# A state is (ends, done): its cut and what it has closed off among the
+# bottom points.  ``_apply_terms`` and ``_finalize`` read the dotted form,
 # which the dp's local states need:
 #   ends[p]  for cut position p (0-based): ('c', partner_position, dot)
 #            | ('b', bottom_point, dot) | ('t', None, dot)
-# with the strand dot flag stored at both ends of a strand.  No naive cut
-# carries a dot, so ``expand_states`` keeps each cut as a tuple of ints:
+# with the strand dot flag stored at both ends of a strand, and done a
+# frozenset of ('chord', i, j, dot) and ('tick', i).  No naive cut carries a
+# dot, so ``expand_states`` keeps each cut as a tuple of ints:
 #   ends[p]  partner_position (>= 0) | -bottom_point | _INTERIOR_END
-# done is a frozenset of ('chord', i, j, dot) and ('tick', i) on bottom
-# points.  ``ends`` is the state's cut; the rewrite never reads ``done``.
+# and done as the int mask of its items (``_item_bit``).  The rewrite reads
+# only ``ends``, never ``done``.
 
 _CUP_TERM_PLAIN = (_term(ONE, [(2, 3, False)], []),)
 _CUP_TERMS_DOTTED = (_term(ONE, [(2, 3, True)], []),
@@ -331,13 +349,6 @@ _CAP_TERM = (_term(ONE, [(0, 1, False)], []),)
 
 _INTERIOR = ("t", None, False)
 _INTERIOR_END = -1 << 62           # below -bottom_point for any word
-
-
-def _dotted_cut(ends) -> tuple:
-    """An int cut of the naive expansion in the dotted form."""
-    return tuple(("c", e, False) if e >= 0 else
-                 _INTERIOR if e == _INTERIOR_END else ("b", -e, False)
-                 for e in ends)
 
 
 def _open_gap(ends, where):
@@ -501,7 +512,8 @@ class _Picture(NamedTuple):
     coeff: LaurentPoly  # the summed coefficient of the picture's terms
     n: int              # table terms the picture stands for
     writes: tuple       # (target mark, source mark): new entries
-    added: tuple        # items closed off among the bottom points, in marks
+    added: tuple        # items closed off among the bottom points, as mark
+                        # pairs (x, y), x == y for a tick
     slot: int           # the index of q^shift * coeff in the plans' coeffs
 
 
@@ -515,12 +527,13 @@ def _plan(terms, consumed, produced, view, slots) -> _Plan:
     """The pictures ``terms`` give on the sample cut of ``view``, each as
     the edit that makes it: every entry that differs from the sample, as
     (target mark, source mark) (a cap's output is read back across the gap
-    it closed), and the items it closes off.  The source mark is the mark
-    the new entry names, or 4 for an interior end; the sample gives each
-    mark one kind of end, so the value an int cut has at the source mark
-    carries the entry's kind.  Each picture's q^shift * coeff, shift 1 for
-    a crossing and 0 for a cup or a cap, gets the next slot of ``slots``
-    unless it has one."""
+    it closed), and the items it closes off, each as a pair of marks (a
+    tick's mark twice; a dotted chord has no mask bit and is refused).  The
+    source mark is the mark the new entry names, or 4 for an interior end;
+    the sample gives each mark one kind of end, so the value an int cut has
+    at the source mark carries the entry's kind.  Each picture's q^shift *
+    coeff, shift 1 for a crossing and 0 for a cup or a cap, gets the next
+    slot of ``slots`` unless it has one."""
     sample = _view_sample(view)
     off = 2 if consumed and not produced else 0
     outcomes, killed = _apply_terms(sample, 0, terms, consumed, produced)
@@ -536,9 +549,18 @@ def _plan(terms, consumed, produced, view, slots) -> _Plan:
                 e = ("c", e[1] + off, e[2])
             if p >= len(sample) or e != sample[p]:
                 writes.append((p, 4 if e[1] is None else e[1]))
+        items = []
+        for item in sorted(added):
+            if item[0] == "tick":
+                items.append((item[1], item[1]))
+            elif item[3]:
+                raise ConsistencyError("a naive picture closes off a dotted "
+                                       "chord")
+            else:
+                items.append(item[1:3])
         slot = slots.setdefault(coeff * shift, len(slots))
-        pictures.append(_Picture(coeff, n, tuple(writes),
-                                 tuple(sorted(added)), slot))
+        pictures.append(_Picture(coeff, n, tuple(writes), tuple(items),
+                                 slot))
     return _Plan(tuple(pictures), killed, zero)
 
 
@@ -559,13 +581,47 @@ def _naive_plans(tables: ExpansionTable) -> tuple:
     return plans, tuple(slots)
 
 
-def _rewrite(ends, where, plan, consumed, produced):
-    """The pictures of ``plan`` on one int cut of its view, as [(ends',
-    added, n, slot)] in the order of ``plan.pictures``: each edit with
-    marks 0 and 1 read as the pair's positions, 2 and 3 as the consumed
-    corners' ends (a partner position or a bottom point) and 4 as an
-    interior end.  This is what ``_apply_terms`` gives with the table's
-    terms, less the pictures that sum to zero."""
+def _item_bit(i: int, j: int) -> int:
+    """The mask bit of an item closed off among the bottom points: the tick
+    on bottom point i when j == i, else the undotted chord between i and j.
+    Item (i, j), i <= j, is bit j(j - 1)/2 + i - 1, so every tick and chord
+    on any number of bottom points has its own bit."""
+    if i > j:
+        i, j = j, i
+    return 1 << (j * (j - 1) // 2 + i - 1)
+
+
+def _read_mask(mask: int):
+    """(chords, ticks) of the items whose bits are set in ``mask``: each
+    chord as (i, j, False) with i < j, each tick as its bottom point."""
+    chords, ticks = [], []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        bit = low.bit_length() - 1
+        j = (isqrt(8 * bit + 1) + 1) // 2
+        i = bit - j * (j - 1) // 2 + 1
+        if i == j:
+            ticks.append(i)
+        else:
+            chords.append((i, j, False))
+    return chords, ticks
+
+
+def _rewrite(ends, where, plan, consumed, produced, count, states, new,
+             values, emptied):
+    """Forward one int cut of ``plan``'s view, with its raw ``count`` and
+    its ``states`` ({done mask: packed coeff}), through each picture of the
+    plan into ``new``, the slice's new cuts ({ends': [raw count, states]}).
+
+    Each picture's edit is read with marks 0 and 1 as the pair's positions,
+    2 and 3 as the consumed corners' ends (a partner position or a bottom
+    point) and 4 as an interior end, and its items as the mask of their bits
+    on the bottom points at marks 2 and 3.  The picture adds count * n to
+    its new cut's raw count and each state (done, x) as (done | mask, x *
+    values[slot]); a state that cancels there is dropped, and the new cut
+    appended to ``emptied``.  So the pictures are what ``_apply_terms``
+    gives with the table's terms, less those that sum to zero."""
     if consumed:
         base = ends
         marks = (where, where + 1, ends[where], ends[where + 1],
@@ -573,30 +629,51 @@ def _rewrite(ends, where, plan, consumed, produced):
     else:
         base = _open_gap(ends, where)
         marks = (where, where + 1)
-    pictures = []
     for _, n, writes, added, slot in plan.pictures:
         out = list(base)
         for i, x in writes:
             out[marks[i]] = marks[x]
         if not produced:
             _close_gap(out, where)
-        if added:
-            added = frozenset(
-                ("tick", -marks[item[1]]) if item[0] == "tick" else
-                ("chord", min(-marks[item[1]], -marks[item[2]]),
-                 max(-marks[item[1]], -marks[item[2]]), item[3])
-                for item in added)
-        else:
-            added = frozenset()
-        pictures.append((tuple(out), added, n, slot))
-    return pictures
+        out = tuple(out)
+        mask = 0
+        for x, y in added:
+            mask |= _item_bit(-marks[x], -marks[y])
+        v = values[slot]
+        cut = new.get(out)
+        if cut is None:
+            # no state of the cut has closed off a bottom point whose strand
+            # still reaches the cut, so done | mask keeps the states apart
+            if mask or v != 1:
+                target = {}
+                for done, x in states.items():
+                    target[done | mask] = x * v
+            else:
+                target = states.copy()
+            new[out] = [n * count, target]
+            continue
+        cut[0] += n * count
+        target = cut[1]
+        for done, x in states.items():
+            done |= mask
+            if v != 1:
+                x *= v
+            old = target.get(done)
+            if old is not None:
+                x += old
+                if not x:
+                    # a cancelled state is dropped where it cancels
+                    del target[done]
+                    emptied.append(out)
+                    continue
+            target[done] = x
 
 
 def _finalize(ends, done, bottom_count: int) -> FlatDiagram:
-    """The diagram of a final cut in the dotted form, with the items
-    ``done`` closed off below it.  Cut position p is boundary point n - p;
-    every chord is written smaller point first, as ``FlatDiagram`` stores
-    it (``done`` holds them so already)."""
+    """The diagram of a cut of the dp's local states, in the dotted form,
+    with the items ``done`` closed off below it.  Cut position p is
+    boundary point n - p; every chord is written smaller point first, as
+    ``FlatDiagram`` stores it (``done`` holds them so already)."""
     n = bottom_count + len(ends)
     chords = []
     ticks = []
@@ -663,12 +740,16 @@ def expand_states(word: MorseWord):
     """Expand every crossing by its table and reduce each state.
 
     The states are grouped by int cut, and each cut is rewritten once per
-    slice by the edits of the plan of its view; each state's coefficient is
-    carried as one packed int (see the module docstring).  Returns
-    (DiagramVector, raw_state_count); the count includes the states pruned:
-    those of killed terms, of pictures whose terms sum to zero and of cuts
-    left with no state after a slice (a state is dropped as it cancels),
-    each counted times the states the crossings left would have made.  So
+    slice by the edits of the plan of its view, which forward its states
+    into the slice's new cuts; each state is keyed by the int mask of the
+    items it has closed off among the bottom points, and its coefficient is
+    carried as one packed int (see the module docstring).  Each final cut's
+    chords and ticks are read once, and each of its states' masks into the
+    rest of its diagram.  Returns (DiagramVector, raw_state_count); the
+    count includes the states pruned: those of killed terms, of pictures
+    whose terms sum to zero and of cuts left with no state after a slice (a
+    state is dropped as it cancels), each counted times the states the
+    crossings left would have made.  So
     it always equals 7^(number of crossings), and ``ConsistencyError`` is
     raised if it does not, if a packed coefficient has a nonzero digit off
     the exponents -c, -c + 2, ..., c for c crossings, or if the states of a
@@ -681,8 +762,9 @@ def expand_states(word: MorseWord):
     width = _naive_width(crossings)
     values = [_naive_value(c, width) for c in coeffs]   # by slot
 
-    # the states grouped by cut: {ends: [raw count, {done: packed coeff}]}
-    cuts = {tuple(-p - 1 for p in range(k)): [1, {frozenset(): 1}]}
+    # the states grouped by cut: {ends: [raw count, {done: packed coeff}]},
+    # done the mask of the items closed off among the bottom points
+    cuts = {tuple(-p - 1 for p in range(k)): [1, {0: 1}]}
     killed = 0
     ci = iter(an.crossings)
     left = crossings           # crossings above the slice being expanded
@@ -703,29 +785,8 @@ def expand_states(word: MorseWord):
         for ends, (count, states) in cuts.items():
             plan = table[_view(ends, where, consumed)]
             killed += (plan.killed + plan.zero) * count * after
-            for e2, added, n, slot in _rewrite(ends, where, plan, consumed,
-                                               produced):
-                # each picture forwards the cut's raw count to its own target
-                cut = new.get(e2)
-                if cut is None:
-                    cut = new[e2] = [0, {}]
-                cut[0] += n * count
-                target = cut[1]
-                v = values[slot]
-                for done, x in states.items():
-                    if added:
-                        done = done | added
-                    if v != 1:
-                        x *= v
-                    old = target.get(done)
-                    if old is not None:
-                        x += old
-                        if not x:
-                            # a cancelled state is dropped where it cancels
-                            del target[done]
-                            emptied.append(e2)
-                            continue
-                    target[done] = x
+            _rewrite(ends, where, plan, consumed, produced, count, states,
+                     new, values, emptied)
         # a cut a state cancelled in may have been refilled later in the
         # slice; one still left with no state is retired: its raw count goes
         # to the pruned tally and it is not rewritten again
@@ -739,12 +800,24 @@ def expand_states(word: MorseWord):
     total = killed
     for ends, (count, states) in cuts.items():
         total += count
-        dotted = _dotted_cut(ends)
+        # the cut's own chords and ticks, read once: cut position p is
+        # boundary point n - p, every chord smaller point first
+        n = k + len(ends)
+        chords, ticks = [], []
+        for p, e in enumerate(ends):
+            if e == _INTERIOR_END:
+                ticks.append(n - p)
+            elif e < 0:
+                chords.append((-e, n - p, False))
+            elif e > p:
+                chords.append((n - e, n - p, False))
         norm = 0
         for done, x in states.items():
             coeff = _naive_decode(x, width, -crossings)
             norm += sum(abs(a) for _, a in coeff.terms())
-            vec.add_term(_finalize(dotted, done, k), coeff)
+            below, closed = _read_mask(done)
+            vec.add_term(FlatDiagram(n, frozenset(chords + below),
+                                     frozenset(ticks + closed)), coeff)
         if norm > count:
             raise ConsistencyError(
                 f"states of L1 norm {norm} on a cut of {count} raw states")

@@ -159,6 +159,11 @@ def _analyze(word: MorseWord) -> _Analysis:
     levels = [tuple(current)]
     crossings = []
     for t, sl in enumerate(word.slices):
+        if not isinstance(sl, Slice):
+            raise TangleSyntaxError(f"slice {t}: {sl!r} is not a Slice")
+        if type(sl.pos) is not int:
+            raise WidthError(f"slice {t}: {sl.kind} position must be an int, "
+                             f"not {sl.pos!r}")
         w = len(current)
         if sl.kind == CUP:
             if not 1 <= sl.pos <= w + 1:

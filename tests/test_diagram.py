@@ -397,6 +397,11 @@ class TestClassVector:
          "polynomial 5 is not a list"),
         ({"boundary_count": 2, "coords": [[[1, 2], [[0]]]]},
          r"term \[0\] is not \[exponent, coefficient\]"),
+        # to_json writes no zero coordinate, so one is refused, not dropped
+        ({"boundary_count": 2, "coords": [[[1, 2], []]]},
+         r"key \[1, 2\] has the zero polynomial"),
+        ({"boundary_count": 2, "coords": [[[], [[0, 1]]], [[1, 2], [[0, 0]]]]},
+         r"term \[0, 0\] has coefficient 0"),
     ])
     def test_json_malformed_document_rejected(self, doc, fault):
         # each fault is named, not left to a KeyError, TypeError or an

@@ -85,6 +85,16 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             LaurentPoly.from_json(doc)
 
+    @pytest.mark.parametrize("doc, term", [
+        pytest.param([[0, 0]], r"\[0, 0\]", id="only-term"),
+        pytest.param([[-1, 2], [3, 0]], r"\[3, 0\]", id="second-term"),
+    ])
+    def test_json_zero_term_rejected(self, doc, term):
+        # to_json writes no zero coefficient, so a document with one is
+        # refused, not read as the polynomial without it
+        with pytest.raises(ValueError, match=f"term {term} has coefficient 0"):
+            LaurentPoly.from_json(doc)
+
     def test_parse_rejects_garbage(self):
         for bad in ("q^", "2*q", "qq", "^3", "q^1.5", "q^1 0", "1 2", "3 q"):
             with pytest.raises(ValueError):

@@ -554,6 +554,45 @@ class TestPlans:
                 + [(tangle.CUP, statesum._CUP_TERM_PLAIN, False, True),
                    (tangle.CAP, statesum._CAP_TERM, True, False)])
 
+    @staticmethod
+    def dotted_cut(ends):
+        """An int cut in the dotted form ``_apply_terms`` reads."""
+        return tuple(("c", e, False) if e >= 0 else
+                     statesum._INTERIOR if e == statesum._INTERIOR_END else
+                     ("b", -e, False) for e in ends)
+
+    @staticmethod
+    def items(mask):
+        """The items of a mask, as ``_apply_terms`` writes them."""
+        chords, ticks = statesum._read_mask(mask)
+        return frozenset([("chord",) + chord for chord in chords]
+                         + [("tick", b) for b in ticks])
+
+    # a state whose mask holds a tick far from every bottom point of the
+    # layouts, so each picture's items are added to it, not put in its place
+    FAR = statesum._item_bit(99, 99)
+
+    @classmethod
+    def rewrite(cls, ends, where, plan, consumed, produced):
+        """What ``_rewrite`` forwards each picture of ``plan`` to, one
+        picture at a time, as (ends', mask, n, slot): from a cut of raw
+        count 1 whose states are mask 0 and mask FAR, with coefficients 1
+        and 3, each picture's new cut gets the raw count n and the states
+        (mask, v) and (mask | FAR, 3v), v = slot + 2."""
+        values = range(2, 2 + len(statesum._naive_plans(base_tables())[1]))
+        got = []
+        for pic in plan.pictures:
+            new = {}
+            statesum._rewrite(ends, where, plan._replace(pictures=(pic,)),
+                              consumed, produced, 1, {0: 1, cls.FAR: 3}, new,
+                              values, [])
+            (e2, (n, states)), = new.items()
+            (mask, v), (far, w) = states.items()
+            assert far == mask | cls.FAR and not mask & cls.FAR
+            assert w == 3 * v
+            got.append((e2, mask, n, v - 2))
+        return got
+
     def test_plans_match_every_term(self):
         plans, coeffs = statesum._naive_plans(base_tables())
         for key, terms, consumed, produced in self.slices():
@@ -571,17 +610,24 @@ class TestPlans:
                     case = (key, ends, where)
                     assert statesum._view(ends, where, consumed) == view, case
                     full, killed = statesum._apply_terms(
-                        statesum._dotted_cut(ends), where, terms, consumed,
+                        self.dotted_cut(ends), where, terms, consumed,
                         produced)
-                    got = statesum._rewrite(ends, where, plan, consumed,
-                                            produced)
-                    # distinct edits stay distinct pictures on every cut
-                    assert len({(e2, added) for e2, added, _, _ in got}) \
+                    got = self.rewrite(ends, where, plan, consumed, produced)
+                    # distinct edits stay distinct pictures on every cut:
+                    # the whole plan forwards one state to each
+                    new = {}
+                    statesum._rewrite(ends, where, plan, consumed, produced,
+                                      1, {0: 1}, new, [1] * len(coeffs), [])
+                    assert sum(len(states) for _, states in new.values()) \
                         == len(got) == len(plan.pictures), case
+                    assert {e2: n for e2, (n, _) in new.items()} \
+                        == {e2: sum(n for e, _, n, _ in got if e == e2)
+                            for e2 in new}, case
                     assert [slot for *_, slot in got] \
                         == [pic.slot for pic in plan.pictures], case
-                    assert {(statesum._dotted_cut(e2), added): [pic.coeff, n]
-                            for (e2, added, n, _), pic
+                    assert {(self.dotted_cut(e2), self.items(mask)):
+                            [pic.coeff, n]
+                            for (e2, mask, n, _), pic
                             in zip(got, plan.pictures)} \
                         == {k: v for k, v in full.items() if v[0]}, case
                     assert plan.killed == killed, case
@@ -618,9 +664,34 @@ class TestPlans:
         # positions 0 and 3 are joined, and so are 1 and 2: a cap at 0
         # writes 2 at position 3 and 3 at position 2, and closing its gap
         # leaves one strand between positions 0 and 1
-        (pic,) = statesum._rewrite((3, 2, 1, 0), 0, plans[("c", "c")], True,
-                                   False)
+        (pic,) = self.rewrite((3, 2, 1, 0), 0, plans[("c", "c")], True, False)
         assert pic[0] == (1, 0)
+
+    def test_plan_refuses_a_dotted_chord_below_the_cut(self):
+        # a mask bit names an undotted chord, so a picture that closes off a
+        # dotted one between two bottom points has no mask and is refused
+        dotted_cap = (statesum._term(ONE, [(0, 1, True)], []),)
+        with pytest.raises(tanglex.ConsistencyError, match="dotted chord"):
+            statesum._plan(dotted_cap, True, False, ("b", "b"), {})
+        plan = statesum._plan(statesum._CAP_TERM, True, False, ("b", "b"), {})
+        assert [pic.added for pic in plan.pictures] == [((2, 3),)]
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_every_item_has_its_own_bit(self, k):
+        # on k bottom points, each tick and each undotted chord has its own
+        # bit, whichever end comes first, and the bit reads back to it
+        items = [(i, j) for j in range(1, k + 1) for i in range(1, j + 1)]
+        bits = [statesum._item_bit(i, j) for i, j in items]
+        assert len(items) == k * (k + 1) // 2
+        assert sum(bits) == (1 << len(items)) - 1
+        for (i, j), bit in zip(items, bits):
+            assert statesum._item_bit(j, i) == bit
+            assert statesum._read_mask(bit) == (
+                ([], [i]) if i == j else ([(i, j, False)], []))
+        chords, ticks = statesum._read_mask(sum(bits))
+        assert sorted(ticks) == list(range(1, k + 1))
+        assert sorted(chords) == sorted((i, j, False) for i, j in items
+                                        if i < j)
 
     def test_expansion_applies_no_terms_once_planned(self):
         # cups, caps and crossings of all four rotations

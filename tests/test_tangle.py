@@ -335,6 +335,22 @@ class TestRecords:
         with pytest.raises(WidthError):
             MorseWord(bottom, (), ("up",))
 
+    @pytest.mark.parametrize("slices, error", [
+        # True passed the range check and formatted as 'x+ True;', which
+        # parse refuses
+        pytest.param((Slice(OVER, True),), WidthError, id="crossing-at-True"),
+        pytest.param((Slice(CUP, True, "cw"),), WidthError, id="cup-at-True"),
+        # a float position once failed with a bare TypeError
+        pytest.param((Slice(OVER, 1.0),), WidthError, id="crossing-at-1.0"),
+        # a plain tuple once failed with an AttributeError
+        pytest.param((Slice(OVER, 1), (OVER, 1)), TangleSyntaxError,
+                     id="plain-tuple"),
+    ])
+    def test_slice_position_must_be_an_int(self, slices, error):
+        index = len(slices) - 1
+        with pytest.raises(error, match=f"^slice {index}: "):
+            MorseWord(2, slices, ("up", "up"))
+
     def test_word_keeps_no_caller_list(self):
         # the analysis is cached when the word is built; a list the caller
         # still holds once let the word change under it
