@@ -94,8 +94,7 @@ Each picture forwards the cut's raw count times n to its new cut, and each
 state of the cut, with mask done, to the state done | mask there, straight
 into the slice's new cuts.  No state of a cut has closed off a bottom point
 whose strand still reaches the cut, and only such points are at marks 2 and
-3, so done and mask share no bit, and distinct states of a cut stay
-distinct in a new cut that no other picture has reached.  Killed
+3, so done and mask share no bit.  Killed
 terms and terms whose pictures sum to zero count it times 7 to the number
 of crossings left, into the pruned tally.  A state whose coefficient
 cancels to 0 is dropped from its new cut as it cancels, and the cut is
@@ -642,16 +641,7 @@ def _rewrite(ends, where, plan, consumed, produced, count, states, new,
         v = values[slot]
         cut = new.get(out)
         if cut is None:
-            # no state of the cut has closed off a bottom point whose strand
-            # still reaches the cut, so done | mask keeps the states apart
-            if mask or v != 1:
-                target = {}
-                for done, x in states.items():
-                    target[done | mask] = x * v
-            else:
-                target = states.copy()
-            new[out] = [n * count, target]
-            continue
+            cut = new[out] = [0, {}]
         cut[0] += n * count
         target = cut[1]
         for done, x in states.items():
