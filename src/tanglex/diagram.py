@@ -451,6 +451,20 @@ class ClassVector:
             for s, c in (coords.items() if isinstance(coords, dict) else coords):
                 self.add(s, c)
 
+    @classmethod
+    def trusted(cls, boundary_count: int, coords: dict) -> "ClassVector":
+        """A class vector holding ``coords`` itself, as the evaluators build
+        it: each key a sorted tuple of boundary points, given once, with a
+        nonzero polynomial.  Only the parity of each key is checked; an odd
+        key raises ``ConsistencyError``."""
+        for s in coords:
+            if len(s) & 1:
+                raise ConsistencyError(f"odd key {s} in a class vector")
+        cv = cls.__new__(cls)
+        cv.boundary_count = boundary_count
+        cv._coords = coords
+        return cv
+
     def add(self, subset, coeff: LaurentPoly) -> None:
         s = tuple(sorted(subset))
         if len(s) % 2:
@@ -599,10 +613,9 @@ def coordinates(v: DiagramVector) -> ClassVector:
                         del rainbow[r]
                         p = mate[r]
             totals[s] = totals.get(s, ZERO) + (-c if odd & 1 else c)
-    # each key is a sorted tuple of chord ends, so even: no need for ``add``
-    cv = ClassVector(v.boundary_count)
-    cv._coords = {s: c for s, c in totals.items() if c}
-    return cv
+    # each key is a sorted tuple of chord ends, given once
+    return ClassVector.trusted(v.boundary_count,
+                               {s: c for s, c in totals.items() if c})
 
 
 def saddle_element() -> DiagramVector:

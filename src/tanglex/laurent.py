@@ -22,8 +22,11 @@ class LaurentPoly:
         c = {}
         if coeffs:
             for e, a in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                if not isinstance(e, int) or not isinstance(a, int):
-                    raise TypeError("exponents and coefficients must be int")
+                # bool is an int subclass, so checked by type, as from_json
+                # does: True would be written to JSON as true
+                if type(e) is not int or type(a) is not int:
+                    raise TypeError(f"exponent {e!r} and coefficient {a!r} "
+                                    f"must both be int")
                 a = c.get(e, 0) + a
                 if a:
                     c[e] = a

@@ -28,13 +28,21 @@ _GEN_BLOCK = ((ONE - _T, _T), (ONE, ZERO))
 _INV_BLOCK = ((ZERO, ONE), (_TI, ONE - _TI))
 
 
+def _check_generator(g, strands: int) -> None:
+    """Refuse a generator that is not an int (bool included) or is out of
+    range for ``strands`` strands."""
+    if type(g) is not int:
+        raise ValueError(f"generator {g!r} is not an int")
+    if g == 0 or abs(g) >= strands:
+        raise ValueError(f"generator {g} out of range")
+
+
 def braid_permutation(word, strands: int):
     """Bottom-to-top strand permutation: perm[i] = top position of bottom i."""
     perm = list(range(strands))
     for g in word:
+        _check_generator(g, strands)
         i = abs(g) - 1
-        if g == 0 or i >= strands - 1:
-            raise ValueError(f"generator {g} out of range")
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
     return tuple(perm)
 
@@ -59,9 +67,8 @@ def unreduced_burau(word, strands: int):
     m = [[ONE if i == j else ZERO for j in range(strands)]
          for i in range(strands)]
     for g in word:
+        _check_generator(g, strands)
         i = abs(g) - 1
-        if g == 0 or i >= strands - 1:
-            raise ValueError(f"generator {g} out of range")
         (a, b), (c, d) = _GEN_BLOCK if g > 0 else _INV_BLOCK
         for row in m:
             x, y = row[i], row[i + 1]
@@ -112,8 +119,9 @@ def _det(m) -> LaurentPoly:
 
 def alexander_via_burau(word, strands: int) -> LaurentPoly:
     """Normalized Alexander polynomial of the braid closure."""
-    if strands < 1:
-        raise ValueError(f"a braid needs 1 or more strands, not {strands}")
+    if type(strands) is not int or strands < 1:
+        raise ValueError(f"a braid needs an int of 1 or more strands, not "
+                         f"{strands!r}")
     mu = closure_components(word, strands)
     red = burau_reduced(word, strands)
     n = len(red)

@@ -196,18 +196,27 @@ Every table keeps the parity of its pair (the even block is 00/11, the odd
 block 01/10), so each output coefficient of a slice reads at most one key
 and its partner key ^ (3 << ib), where ib is the lowest bit of the pair.
 ``_table_form`` reads off each table's rows the form the kernel applies it
-in; the first three write each output once, with no accumulation:
+in; the first four write each output once, with no accumulation:
 
 - BLOCK, a crossing whose twisted rows equal its plain rows (rot 0 and 2,
   so every braid crossing): 00 and 11 keys are multiplied in place by one
   packed scalar each, and each 01/10 partner pair is rewritten once by the
   2x2 odd block.  No spectator bit is read.
+- SWAP, a sideways crossing (rot 1 and 3: its strands point opposite
+  ways), whose odd block sends 01 to 10 and 10 to 01 alone and whose even
+  block is diagonal but for one entry from src, one of 00 and 11, to the
+  other, dst, the entry that the twist negates: in place, each odd key
+  moves to its partner times its entry, and each src key with its dst
+  partner is rewritten once by the 2x2 even block, the twist read only
+  there.  A dst output that cancels is dropped in the same pass.
 - FAN_OUT, the cup: each key writes its 00 output times 1 and its 11 output
   times +-1 by the twist; outputs of distinct keys never collide.
 - FAN_IN, the cap: each 00 key is summed with its 11 partner, signed by the
   twist; 01 and 10 keys drop.
-- SCATTER, any other table (the rot 1 and 3 crossings): every row entry is
-  added into its output key, and zero sums are dropped after the slice.
+- SCATTER, any other table (no derived table is one): every row entry is
+  added into its output key, and zero sums are dropped after the slice.  It
+  is the fallback for a table of no known shape, and the tests compare
+  every other form against it.
 
 By the end of a braid closure most live keys can no longer reach an output
 key, so ``evaluate_dp`` meets in the middle.  The first ``_split`` steps run
@@ -220,8 +229,9 @@ swapped.  The twist reads only spectator bits, which are the same
 on both sides of a slice, so the plain and the twisted rows transpose each
 on their own, and ``_table_form`` reads the transposes off as they are: a
 BLOCK crossing stays BLOCK with its lo -> hi and hi -> lo entries traded,
-the cup's transpose is FAN_IN, the cap's FAN_OUT, and the rot 1 and 3
-crossings stay SCATTER.  One costate serves every coordinate because no
+a SWAP crossing stays SWAP with its 01 -> 10 and 10 -> 01 entries traded
+and src and dst exchanged, the cup's transpose is FAN_IN and the cap's
+FAN_OUT.  One costate serves every coordinate because no
 slice touches a bottom bit (every ib is at least k): a key keeps its bottom
 bits, its sector, from the bottom to the top, and with at most one top
 point each sector has exactly one output key, sector | parity(sector) << k
@@ -869,14 +879,16 @@ def _local_table(terms, consumed, produced):
 
 
 # the forms a local table can take in the kernel (see the module docstring)
-BLOCK, FAN_OUT, FAN_IN, SCATTER = "block", "fan-out", "fan-in", "scatter"
+BLOCK, SWAP, FAN_OUT, FAN_IN, SCATTER = (
+    "block", "swap", "fan-out", "fan-in", "scatter")
 
 
 class _KernelTable(NamedTuple):
     rows: tuple        # per input pair value: (plain, twisted) (out, coeff)
     shift: int         # q^shift * c is a polynomial in q^2, for every entry c
     norm: int          # row L1 norm
-    form: str          # BLOCK, FAN_OUT, FAN_IN or SCATTER, read off the rows
+    form: str          # BLOCK, SWAP, FAN_OUT, FAN_IN or SCATTER, read off
+                       # the rows
     operands: tuple    # what the kernel reads in that form, as digits
 
 
@@ -887,6 +899,10 @@ def _table_form(rows, consumed: bool, produced: bool) -> str:
     BLOCK     a crossing whose twisted rows equal its plain rows, with no
               zero entry, taking 00 and 11 each to itself alone, one odd
               pair value (lo) to the other (hi) alone, and hi to both;
+    SWAP      a crossing with no zero entry taking 01 to 10 alone and 10 to
+              01 alone, one even pair value (src) to both 00 and 11 and the
+              other to itself alone, whose twisted rows equal its plain
+              rows but for the src -> 3 - src entry, which is negated;
     FAN_OUT   a cup creating 00 with 1 and 11 with s, twisted -s (s = +-1);
     FAN_IN    a cap taking 00 to 1 and 11 to s, twisted -s, and 01, 10 to 0;
     SCATTER   any other table."""
@@ -898,6 +914,13 @@ def _table_form(rows, consumed: bool, produced: bool) -> str:
                 and outs[0] == [0] and outs[3] == [3]
                 and (outs[1], outs[2]) in (([2], [1, 2]), ([1, 2], [1]))):
             return BLOCK
+        if (all(c for plain, _ in rows for _, c in plain)
+                and outs[1] == [2] and outs[2] == [1]
+                and (outs[0], outs[3]) in (([0, 3], [3]), ([0], [0, 3]))
+                and all(twisted == tuple((out, -c if {i, out} == {0, 3} else c)
+                                         for out, c in plain)
+                        for i, (plain, twisted) in enumerate(rows))):
+            return SWAP
     elif produced:
         if any(rows == ((one + ((3, s),), one + ((3, -s),)),)
                for s in (ONE, -ONE)):
@@ -948,8 +971,11 @@ def _digits(c: LaurentPoly, shift: int) -> tuple:
 def _operands(form: str, rows, shift: int) -> tuple:
     """What the kernel's loop for a form reads off the rows, each
     coefficient as its ``_digits``: for BLOCK the entries (d0, d3, lo, b, c,
-    d) of 00 -> 00, 11 -> 11, lo -> hi, hi -> lo and hi -> hi; for FAN_OUT
-    and FAN_IN (s < 0,); for SCATTER the rows themselves."""
+    d) of 00 -> 00, 11 -> 11, lo -> hi, hi -> lo and hi -> hi; for SWAP
+    (src, ds, dd, e, b, c), src the even pair value that reaches both, and
+    the plain entries src -> src, dst -> dst, src -> dst, 01 -> 10 and
+    10 -> 01 (dst = 3 - src); for FAN_OUT and FAN_IN (s < 0,); for SCATTER
+    the rows themselves."""
     if form is FAN_OUT:
         return (rows[0][0][1][1] != ONE,)
     if form is FAN_IN:
@@ -963,6 +989,13 @@ def _operands(form: str, rows, shift: int) -> tuple:
         (_, b), = rows[lo][0]
         hi_row = dict(rows[3 - lo][0])
         return d0, d3, lo, b, hi_row[lo], hi_row[3 - lo]
+    if form is SWAP:
+        src = 0 if len(rows[0][0]) == 2 else 3
+        src_row = dict(rows[src][0])
+        (_, dd), = rows[3 - src][0]
+        (_, b), = rows[1][0]
+        (_, c), = rows[2][0]
+        return src, src_row[src], dd, src_row[3 - src], b, c
     return rows
 
 
@@ -1029,12 +1062,18 @@ def _value(digits, width: int) -> int:
 
 
 def _pack(table: _KernelTable, width: int) -> tuple:
-    """(form, operands) of a table with each coefficient at q^2 = 2^width."""
+    """(form, operands) of a table with each coefficient at q^2 = 2^width:
+    BLOCK's and SWAP's as scalars, a pair value kept as it is, SCATTER's as
+    its rows; FAN_OUT's and FAN_IN's sign is not packed."""
     ops = table.operands
     if table.form is BLOCK:
         d0, d3, lo, b, c, d = ops
         ops = (_value(d0, width), _value(d3, width), lo, _value(b, width),
                _value(c, width), _value(d, width))
+    elif table.form is SWAP:
+        src, ds, dd, e, b, c = ops
+        ops = (src, _value(ds, width), _value(dd, width), _value(e, width),
+               _value(b, width), _value(c, width))
     elif table.form is SCATTER:
         ops = tuple(tuple(tuple((out, _value(c, width)) for out, c in part)
                           for part in row) for row in ops)
@@ -1120,6 +1159,50 @@ def _sweep(state: dict, steps, packed: dict) -> dict:
                 elif key ^ m not in state:   # hi; with a lo partner, done there
                     add.append((key ^ m, x * c))
                     state[key] = x * d
+            for key in drop:
+                del state[key]
+            state.update(add)
+            continue
+        if form is SWAP:
+            # a sideways crossing, rewritten in place: an odd key moves to
+            # its partner key ^ m, and a dst key also takes its src partner
+            # key ^ m times e, signed by the twist, which is read only there
+            src, ds, dd, e, b, c = ops
+            get = state.get
+            low_mask = (1 << ib) - 1
+            drop = []
+            add = []
+            for key, x in state.items():
+                pair = key >> ib & 3
+                if pair == src:
+                    state[key] = x * ds
+                    x *= e
+                    if (((key & low_mask).bit_count() >> 1)
+                            + ((key >> (ib + 2)).bit_count() >> 1)) & 1:
+                        x = -x
+                    y = get(key ^ m)
+                    if y is None:
+                        add.append((key ^ m, x))
+                    else:
+                        v = y * dd + x
+                        if v:
+                            state[key ^ m] = v
+                        else:
+                            drop.append(key ^ m)
+                elif pair == 1:
+                    y = get(key ^ m)
+                    if y is None:
+                        drop.append(key)
+                        add.append((key ^ m, x * b))
+                    else:
+                        state[key] = y * c
+                        state[key ^ m] = x * b
+                elif key ^ m not in state:   # 10, or dst with no src partner
+                    if pair == 2:
+                        drop.append(key)
+                        add.append((key ^ m, x * c))
+                    else:
+                        state[key] = x * dd
             for key in drop:
                 del state[key]
             state.update(add)
@@ -1232,9 +1315,10 @@ def evaluate_dp(word: MorseWord) -> ClassVector:
                 meet[out] = meet.get(out, 0) + x * y
         state = {key: v for key, v in meet.items() if v}
     n = k + top
-    return ClassVector(n, {tuple(i + 1 for i in range(n) if key >> i & 1):
-                           _decode(c, width, offset)
-                           for key, c in state.items()})
+    # each key is read once, as a sorted tuple, and each value is nonzero
+    return ClassVector.trusted(n, {
+        tuple(i + 1 for i in range(n) if key >> i & 1):
+        _decode(c, width, offset) for key, c in state.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -316,9 +316,11 @@ def turning_number(word: MorseWord) -> int:
 def braid_to_tangle(word, strands: int) -> MorseWord:
     """A 2-endpoint tangle whose closure is the braid closure: strands 2..n
     are trace-closed to the right by nested cups and caps, strand 1 is cut."""
-    if strands < 1:
-        raise ValueError("strands must be >= 1")
+    if type(strands) is not int or strands < 1:
+        raise ValueError(f"strands must be an int >= 1, not {strands!r}")
     for g in word:
+        if type(g) is not int:
+            raise ValueError(f"generator {g!r} is not an int")
         if g == 0 or abs(g) > strands - 1:
             raise ValueError(f"generator {g} out of range for {strands} strands")
     slices = [Slice(CUP, i, "cw") for i in range(2, strands + 1)]

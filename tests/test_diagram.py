@@ -359,6 +359,12 @@ class TestClassVector:
     def test_odd_key_rejected(self):
         with pytest.raises(ValueError):
             ClassVector(4).add((1,), ONE)
+        # the evaluators' trusted constructor checks parity alone, and
+        # raises without assert
+        assert ClassVector.trusted(4, {(1, 2): ONE}) == ClassVector(
+            4, {(1, 2): ONE})
+        with pytest.raises(tanglex.ConsistencyError):
+            ClassVector.trusted(4, {(1, 2): ONE, (1,): ONE})
 
     @pytest.mark.parametrize("key", [[1, 1], [5, 7], [0, 2], [2, -1]])
     def test_json_bad_key_rejected(self, key):

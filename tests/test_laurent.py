@@ -56,6 +56,15 @@ class TestOps:
         with pytest.raises(TypeError):
             LaurentPoly({0.5: 1})
 
+    @pytest.mark.parametrize("coeffs", [{True: 1}, {False: 2}, {1: True}],
+                             ids=["exponent True", "exponent False",
+                                  "coefficient True"])
+    def test_rejects_bool(self, coeffs):
+        # a bool term would be written to JSON as true / false, which
+        # from_json refuses
+        with pytest.raises(TypeError):
+            LaurentPoly(coeffs)
+
 
 class TestCanonicalForm:
     def test_str(self):

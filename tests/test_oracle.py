@@ -56,6 +56,13 @@ class TestBurauMatrices:
         with pytest.raises(ValueError):
             braid_permutation([0], 2)
 
+    @pytest.mark.parametrize("call", [braid_permutation, unreduced_burau,
+                                      alexander_via_burau])
+    @pytest.mark.parametrize("g", [1.0, True], ids=["float", "bool"])
+    def test_generator_of_wrong_type(self, call, g):
+        with pytest.raises(ValueError, match=f"generator {g!r} is not an int"):
+            call([g], 2)
+
 
 def laplace(m):
     """The determinant by expansion along the first row."""
@@ -127,6 +134,11 @@ class TestAlexanderValues:
     def test_no_strands_rejected(self):
         with pytest.raises(ValueError):
             alexander_via_burau([], 0)
+
+    @pytest.mark.parametrize("strands", [2.0, True], ids=["float", "bool"])
+    def test_strand_count_of_wrong_type(self, strands):
+        with pytest.raises(ValueError, match=f"strands, not {strands!r}$"):
+            alexander_via_burau([1], strands)
 
     def test_markov_stability(self):
         # links too: stabilization moves n and the exponent sum together

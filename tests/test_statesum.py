@@ -954,6 +954,11 @@ class TestPacking:
                     hi = 3 - lo
                     packed = [(0, 0, d0), (3, 3, d3), (lo, hi, b),
                               (hi, lo, c), (hi, hi, d)]
+                elif form is statesum.SWAP:
+                    src, ds, dd, e, b, c = ops
+                    dst = 3 - src
+                    packed = [(src, src, ds), (dst, dst, dd), (src, dst, e),
+                              (1, 2, b), (2, 1, c)]
                 elif form is statesum.SCATTER:
                     packed = [(i, out, v) for i, row in enumerate(ops)
                               for out, v in row[0]]
@@ -990,12 +995,14 @@ class TestPacking:
 
     def test_table_forms(self):
         # read off the rows: twist-free crossings (rot 0 and 2) are blocks,
-        # the twisted rot 1 and 3 crossings are scattered
+        # the sideways rot 1 and 3 crossings are swaps, both ways
         tables = kernel_tables()
         for sign in (1, -1):
             for rot in range(4):
-                want = statesum.BLOCK if rot in (0, 2) else statesum.SCATTER
-                assert tables[(sign, rot), False].form == want, (sign, rot)
+                want = statesum.BLOCK if rot in (0, 2) else statesum.SWAP
+                for back in (False, True):
+                    assert tables[(sign, rot), back].form == want, (
+                        sign, rot, back)
         assert tables[tangle.CUP, False].form == statesum.FAN_OUT
         assert tables[tangle.CAP, False].form == statesum.FAN_IN
 
@@ -1024,6 +1031,49 @@ class TestPacking:
                                         statesum.SCATTER, table.rows,
                                         table.shift))
                 for key, table in (tables or kernel_tables()).items()}
+
+    def test_swap_loop_matches_the_scatter_loop(self):
+        # one sideways crossing, forward and transposed, on states no word
+        # reaches: over every spectator pattern of bits 0, 1, 4 and 5, each
+        # subset of the four pair values at bits 2 and 3, so both odd
+        # partners together, an odd key or an even key alone on either
+        # side, and (on odd rounds) even pairs whose output cancels
+        rng = random.Random(28)
+        ib, width = 2, 38
+        scattered = self.all_scattered()
+        for key in [(sign, rot) for sign in (1, -1) for rot in (1, 3)]:
+            for back in (False, True):
+                table = statesum._kernel_table(key, back)
+                form, ops = statesum._pack(table, width)
+                assert form is statesum.SWAP, (key, back)
+                src, _, dd, e = ops[:4]
+                scatter = {key: statesum._pack(scattered[key, back], width)}
+                for rnd in range(32):
+                    state = {}
+                    cancelled = []
+                    for spect in range(16):
+                        rest = (spect & 3) | (spect >> 2) << 4
+                        flip = (((spect & 3).bit_count() >> 1)
+                                + ((spect >> 2).bit_count() >> 1)) & 1
+                        present = (spect + rnd) % 16
+                        for pair in range(4):
+                            if present >> pair & 1:
+                                state[rest | pair << ib] = rng.choice(
+                                    (-1, 1)) * rng.randint(1, 1000)
+                        if rnd % 2 and present & 9 == 9:
+                            # src -> dst meets dst -> dst and cancels
+                            x = rng.randint(1, 1000)
+                            state[rest | src << ib] = x * dd
+                            state[rest | (3 - src) << ib] = (
+                                x * e if flip else -x * e)
+                            cancelled.append(rest | (3 - src) << ib)
+                    step = [(key, ib, 2, 2)]
+                    want = statesum._sweep(dict(state), step, scatter)
+                    got = statesum._sweep(dict(state), step,
+                                          {key: (form, ops)})
+                    assert got == want, (key, back, rnd)
+                    assert all(got.values()), (key, back, rnd)
+                    assert not set(cancelled) & set(got), (key, back, rnd)
 
     def test_crossing_out_of_shape_is_scattered(self):
         # a rot-0 table with an added 00 -> 11 entry q: on one crossing the

@@ -242,6 +242,16 @@ class TestBraids:
         with pytest.raises(ValueError):
             braid_to_tangle([1], 1)
 
+    @pytest.mark.parametrize("g", [1.0, True], ids=["float", "bool"])
+    def test_generator_of_wrong_type(self, g):
+        with pytest.raises(ValueError, match=f"generator {g!r} is not an int"):
+            braid_to_tangle([g], 2)
+
+    @pytest.mark.parametrize("strands", [2.0, True], ids=["float", "bool"])
+    def test_strand_count_of_wrong_type(self, strands):
+        with pytest.raises(ValueError, match=f"not {strands!r}$"):
+            braid_to_tangle([1], strands)
+
 
 class TestMoves:
     def test_r1_insertion(self):
